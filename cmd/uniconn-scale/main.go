@@ -138,7 +138,7 @@ func main() {
 		Description: "Rank-scaling allreduce curves (cmd/uniconn-scale): flat vs fat-tree vs dragonfly inter-node topologies, hierarchical vs flat-ring algorithms, virtual time per iteration.",
 		Host:        scaleHost{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)},
 		Machine:     m.Name, Bytes: *bytes, Iters: *iters, Shards: *shards,
-		RingCap: *ringMax,
+		RingCap:     *ringMax,
 		RingCapNote: fmt.Sprintf("ring curves stop at %d ranks: the ring's 2(n-1) serialized steps are wall-clock quadratic in simulated messages, and its virtual-time trend is already fixed there", *ringMax),
 	}
 	// The scale sweep runs serially (one engine already saturates the host

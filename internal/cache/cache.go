@@ -14,12 +14,15 @@
 // The in-memory tier is a strict LRU bounded by both entry count and total
 // value bytes. The optional disk tier (Options.Dir) writes each entry to
 // <dir>/<hash> with an atomic rename and reads it back on a memory miss;
-// hashes are hex SHA-256, so keys are filename-safe by construction and a
-// corrupt or truncated file is indistinguishable from a miss at worst.
+// hashes are hex SHA-256, so keys are filename-safe by construction. Each
+// file frames the value with its length and a CRC-32C checksum, both checked
+// on read, so a corrupt, truncated or empty file is a miss, never a hit.
 package cache
 
 import (
 	"container/list"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -123,7 +126,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	}
 	c.mu.Unlock()
 	if c.opts.Dir != "" {
-		if val, err := os.ReadFile(c.diskPath(key)); err == nil && len(val) > 0 {
+		if val, ok := c.readDisk(key); ok {
 			c.mu.Lock()
 			c.insert(key, val)
 			c.hits++
@@ -204,9 +207,32 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.opts.Dir, key)
 }
 
-// persist writes the value with a temp-file + rename so readers never see a
-// partial entry. Persistence is best-effort: a full disk degrades the cache
-// to memory-only, it never fails the simulation that produced the result.
+// A disk entry is a frameHeader-byte header — the value's length (uint64)
+// and its CRC-32C (uint32), little-endian — followed by the value.
+const frameHeader = 12
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// readDisk returns the persisted value for key if its file exists and its
+// frame checks out: the length matches the bytes present and the checksum
+// matches the value.
+func (c *Cache) readDisk(key string) ([]byte, bool) {
+	b, err := os.ReadFile(c.diskPath(key))
+	if err != nil || len(b) <= frameHeader {
+		return nil, false
+	}
+	val := b[frameHeader:]
+	if binary.LittleEndian.Uint64(b) != uint64(len(val)) ||
+		binary.LittleEndian.Uint32(b[8:]) != crc32.Checksum(val, castagnoli) {
+		return nil, false
+	}
+	return val, true
+}
+
+// persist writes the framed value with a temp-file + rename so readers never
+// see a partial entry. Persistence is best-effort: a full disk degrades the
+// cache to memory-only, it never fails the simulation that produced the
+// result.
 func (c *Cache) persist(key string, val []byte) {
 	if err := os.MkdirAll(c.opts.Dir, 0o755); err != nil {
 		return
@@ -216,7 +242,10 @@ func (c *Cache) persist(key string, val []byte) {
 		return
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(val); err != nil {
+	frame := make([]byte, frameHeader, frameHeader+len(val))
+	binary.LittleEndian.PutUint64(frame, uint64(len(val)))
+	binary.LittleEndian.PutUint32(frame[8:], crc32.Checksum(val, castagnoli))
+	if _, err := tmp.Write(append(frame, val...)); err != nil {
 		tmp.Close()
 		os.Remove(name)
 		return

@@ -136,16 +136,43 @@ func TestDiskPersistence(t *testing.T) {
 	}
 }
 
+// TestDiskCorruptionIsAMiss damages a persisted entry the ways a crash
+// mid-copy, a full disk or bit rot would: a fresh cache must miss rather
+// than return the damaged bytes, and a re-Put must leave a clean entry.
 func TestDiskCorruptionIsAMiss(t *testing.T) {
-	dir := t.TempDir()
-	c := New(Options{Dir: dir})
-	if err := os.WriteFile(filepath.Join(dir, "empty"), nil, 0o644); err != nil {
-		t.Fatal(err)
+	val := []byte("a persisted result document")
+	damage := map[string]func(b []byte) []byte{
+		"empty":     func([]byte) []byte { return nil },
+		"truncated": func(b []byte) []byte { return b[:len(b)-5] },
+		"flipped":   func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b },
 	}
-	if _, ok := c.Get("empty"); ok {
-		t.Error("an empty persisted file must read as a miss")
+	for name, damage := range damage {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			New(Options{Dir: dir}).Put("cafe", val)
+			path := filepath.Join(dir, "cafe")
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c := New(Options{Dir: dir})
+			if got, ok := c.Get("cafe"); ok {
+				t.Fatalf("damaged entry read as a hit: %q", got)
+			}
+			if st := c.Stats(); st.Misses != 1 || st.DiskHits != 0 {
+				t.Fatalf("stats = %+v, want one miss and no disk hit", st)
+			}
+			c.Put("cafe", val)
+			got, ok := New(Options{Dir: dir}).Get("cafe")
+			if !ok || !bytes.Equal(got, val) {
+				t.Fatalf("after re-Put, disk read = %q, %v; want %q, true", got, ok, val)
+			}
+		})
 	}
-	if _, ok := c.Get("absent"); ok {
+	if _, ok := New(Options{Dir: t.TempDir()}).Get("absent"); ok {
 		t.Error("a missing file must read as a miss")
 	}
 }

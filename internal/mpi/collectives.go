@@ -421,9 +421,9 @@ func (c *Comm) computeHierLayout() hierLayout {
 func (c *Comm) allreduceHierarchical(p *sim.Proc, buf gpu.View, op gpu.ReduceOp, hl hierLayout) {
 	count := buf.Len()
 	L, N := hl.local, hl.nodes
-	l := c.rank % L       // local index within the node block
-	b := c.rank / L       // node block index
-	base := b * L         // comm rank of the block's first member
+	l := c.rank % L // local index within the node block
+	b := c.rank / L // node block index
+	base := b * L   // comm rank of the block's first member
 	right := base + (l+1)%L
 	left := base + (l-1+L)%L
 

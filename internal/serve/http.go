@@ -5,8 +5,9 @@ package serve
 //	POST /query    one spec as JSON → the canonical result document.
 //	               Response headers: X-Uniconn-Spec-Hash (the content
 //	               address) and X-Uniconn-Cache (hit|miss|coalesced).
-//	               400 on malformed/unrunnable specs, 503 under load shed
-//	               or shutdown, 500 on evaluation failure.
+//	               400 on malformed/unrunnable specs, 413 on a body over
+//	               maxQueryBody, 503 under load shed or shutdown, 500 on
+//	               evaluation failure.
 //	GET  /stats    the service's operational snapshot (Stats).
 //
 // Everything else falls through to the telemetry plane's handler when one
@@ -21,6 +22,11 @@ import (
 
 	"repro/internal/spec"
 )
+
+// maxQueryBody bounds a /query request body. A spec encodes to under 1 KiB,
+// so the bound only ever stops a client from making the server buffer an
+// arbitrarily large document.
+const maxQueryBody = 64 << 10
 
 // NewHandler routes the service's endpoints, with every unclaimed path
 // served by fallback (pass the telemetry server's Handler; nil serves 404).
@@ -42,11 +48,16 @@ func (sv *Service) handleQuery(w http.ResponseWriter, req *http.Request) {
 	}
 	// Unknown fields are rejected rather than ignored: a misspelled field
 	// would silently address a different cell than the client meant.
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxQueryBody))
 	dec.DisallowUnknownFields()
 	var s spec.Spec
 	if err := dec.Decode(&s); err != nil {
-		http.Error(w, fmt.Sprintf("bad spec JSON: %v", err), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad spec JSON: %v", err), code)
 		return
 	}
 	if err := s.Validate(); err != nil {

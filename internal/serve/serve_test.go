@@ -254,3 +254,25 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 		t.Errorf("/stats = %d %s", stResp.StatusCode, buf.String())
 	}
 }
+
+// TestQueryBodyTooLarge posts a body past maxQueryBody: the handler must
+// stop reading at the bound and answer 413 without evaluating anything.
+func TestQueryBodyTooLarge(t *testing.T) {
+	sv := New(Options{})
+	defer sv.Close()
+	srv := httptest.NewServer(NewHandler(sv, nil))
+	defer srv.Close()
+
+	body := `{"workload":"` + strings.Repeat("x", maxQueryBody) + `"}`
+	resp, err := http.Post(srv.URL+"/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+	if st := sv.Stats(); st.Queries != 0 {
+		t.Errorf("queries = %d, want 0: an oversized body must not reach the service", st.Queries)
+	}
+}

@@ -49,8 +49,7 @@ func (g *Gate) Fired() bool { return g.fired }
 func (g *Gate) FiredAt() Time { return g.at }
 
 // Fire releases all current and future waiters. Firing an already-fired gate
-// is a no-op. Must be called while holding the ball (from a process or an
-// engine callback).
+// is a no-op. Must be called from a running process or an engine callback.
 func (g *Gate) Fire(e *Engine) {
 	if g.fired {
 		return

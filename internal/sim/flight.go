@@ -12,8 +12,8 @@ package sim
 // strings the engine already holds. A mutex guards the ring so a live
 // telemetry endpoint (/debug/flight) can snapshot it mid-run from another
 // goroutine; the lock is only ever contended by that read-only sampler,
-// never by a second writer, because exactly one goroutine holds the
-// engine's ball at a time.
+// never by a second writer, because exactly one of the engine's processes
+// (or its driver) runs at a time.
 //
 // Determinism: every recorded quantity derives from virtual time and the
 // engine's deterministic schedule. For a fixed configuration (including the
@@ -67,8 +67,8 @@ type FlightEntry struct {
 	// Seq is the entry's position in the recorder's total history (the
 	// first recorded entry is 1); it survives ring wrap, so a dump shows
 	// how much history was discarded.
-	Seq uint64
-	At  Time
+	Seq  uint64
+	At   Time
 	Kind FlightKind
 	// Proc is the process the action concerns ("" for engine callbacks and
 	// run-level stop entries).

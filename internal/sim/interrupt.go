@@ -80,8 +80,8 @@ func (e *RankFailedError) Error() string {
 // wait is cancelled and the error raised there, now; otherwise the error is
 // raised at the process's next interruptible wait. Only the first interrupt
 // is kept until delivered (or cleared). Interrupting a finished or crashed
-// process is a no-op. Must be called while holding the ball (from another
-// process or an engine callback).
+// process is a no-op. Must be called from another running process or an
+// engine callback.
 func (p *Proc) Interrupt(err error) {
 	if err == nil {
 		panic("sim: Interrupt with nil error")
@@ -108,7 +108,7 @@ func (p *Proc) Interrupt(err error) {
 // Kill crashes the process: it unwinds silently at its next scheduling
 // point, counting as a clean finish (the simulation can still complete).
 // Killing a finished or already-crashed process is a no-op. Must be called
-// while holding the ball.
+// from another running process or an engine callback.
 func (p *Proc) Kill() {
 	if p.crashed || !p.eng.alive[p] {
 		return

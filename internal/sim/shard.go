@@ -54,9 +54,9 @@ type message struct {
 // only arise from a lookahead smaller than the real minimum link latency.
 type Conduit struct {
 	engines   []*Engine
-	shardOf   []int    // node -> shard
+	shardOf   []int       // node -> shard
 	outbox    [][]message // per source shard
-	seqs      []uint64 // per source node
+	seqs      []uint64    // per source node
 	windowEnd Time
 }
 
@@ -108,10 +108,10 @@ func (c *Conduit) inject() {
 // Group advances a set of shard engines in conservative lookahead windows.
 // Each shard runs on its own persistent worker goroutine; the group
 // computes window boundaries, relays conduit traffic, and decides
-// termination. All virtual-time state stays confined to exactly one
-// goroutine at a time (a shard's worker during windows, the group's
-// goroutine between them), with the command/done channels providing the
-// happens-before edges.
+// termination. All virtual-time state stays confined to one goroutine at a
+// time (a shard's worker, driving its engine's process coroutines, during
+// windows; the group's goroutine between them), with the command/done
+// channels providing the happens-before edges.
 type Group struct {
 	engines   []*Engine
 	conduit   *Conduit

@@ -3,23 +3,23 @@
 // cluster fabric, and communication backends execute.
 //
 // Every simulated activity (a rank's host program, a GPU stream, a NIC
-// progress engine) is a Proc: a goroutine that runs cooperatively under the
-// engine's scheduler. Exactly one Proc executes at any instant, and runnable
-// Procs are ordered by (virtual time, sequence number), so a simulation is
-// bit-for-bit deterministic across runs and platforms. Virtual time is kept
-// in integer nanoseconds.
+// progress engine) is a Proc: a stdlib coroutine (iter.Pull) that runs
+// cooperatively under the engine's scheduler. Exactly one Proc executes at
+// any instant, and runnable Procs are ordered by (virtual time, sequence
+// number), so a simulation is bit-for-bit deterministic across runs and
+// platforms. Virtual time is kept in integer nanoseconds.
 //
-// Scheduling uses a direct handoff: the goroutine that holds the run token
-// (the "ball") pops the next event itself and either continues running (its
-// own wake — zero scheduler transfers), runs an engine callback inline, or
-// hands the ball straight to the next process with a single channel send.
-// The Run goroutine only parks until the simulation stops; it is not an
-// intermediary on the event path. See DESIGN.md §11 for the protocol and
-// its invariants.
+// Run and RunWindow are one driver loop: it dispatches events until a
+// process event surfaces and resumes that process's coroutine. A process
+// that parks dispatches the following events itself and, when the next one
+// is its own wake, simply keeps running (no switch at all); otherwise it
+// yields the next process to the driver, which resumes it. Engine callbacks
+// run inline on whichever stack is dispatching. See DESIGN.md §11.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strings"
@@ -98,24 +98,10 @@ type Engine struct {
 	live  int // non-daemon procs spawned and not yet finished
 	alive map[*Proc]bool
 
-	// Stop protocol. While processes run, the Run goroutine parks on driver;
-	// whichever goroutine ends the simulation (queue drained, watchdog,
-	// panic, abort) records stopErr and sends one token. stopLocal covers
-	// the case where Run's own dispatch call ends the simulation before any
-	// handoff happened, so no token is in flight. Both fields are only
-	// touched by the ball holder, and the driver channel send/receive orders
-	// stopErr between goroutines.
-	driver    chan struct{}
-	stopErr   error
-	stopLocal bool
+	stopErr error // terminal error of the current run (deadlock, watchdog, panic, abort)
+	closed  bool
+	running bool
 
-	// Teardown. dead is closed by Close to unwind parked goroutines; each
-	// acknowledges on exited without touching any other engine state.
-	dead   chan struct{}
-	exited chan struct{}
-	closed bool
-
-	running  bool
 	trace    func(string)
 	deadline Time            // virtual-time watchdog; 0 disables
 	m        *engineMetrics  // nil when metrics are disabled (see metrics.go)
@@ -123,36 +109,26 @@ type Engine struct {
 
 	// Windowed execution (see shard.go). limit, when nonzero, is the
 	// exclusive upper bound on event times the current RunWindow call may
-	// dispatch; paused records that the window ended with events (or live
-	// procs) remaining rather than the simulation finishing.
-	limit  Time
-	paused bool
+	// dispatch.
+	limit Time
 }
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{
-		alive:  map[*Proc]bool{},
-		driver: make(chan struct{}),
-		dead:   make(chan struct{}),
-		exited: make(chan struct{}),
-	}
+	return &Engine{alive: map[*Proc]bool{}}
 }
 
-// Close terminates all remaining process goroutines (including daemons).
-// Call it once the simulation is finished; the engine is unusable afterward.
+// Close terminates all remaining processes (including daemons): each
+// suspended coroutine is unwound in turn and a never-started one exits
+// without running. Call it once the simulation is finished; the engine is
+// unusable afterward, and a second Close is a no-op.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	close(e.dead)
-	// Every remaining goroutine is parked in a select on its resume channel
-	// and e.dead; each unwinds via the killed sentinel and acknowledges
-	// here. The killed path mutates no engine state, so reading alive while
-	// they unwind is safe.
-	for n := len(e.alive); n > 0; n-- {
-		<-e.exited
+	for p := range e.alive {
+		p.stop()
 	}
 	clear(e.alive)
 }
@@ -178,16 +154,24 @@ func (e *Engine) tracef(format string, args ...any) {
 	}
 }
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
+// Proc is a simulated process: a coroutine scheduled cooperatively by the
 // engine. All blocking methods (Advance, waits on conditions) must be called
-// from the process's own goroutine.
+// from the process itself.
 type Proc struct {
 	eng         *Engine
 	name        string
-	resume      chan struct{}
 	id          uint64
 	daemon      bool
 	wakePending bool
+
+	// The coroutine. next (driver side) resumes it until it hands off,
+	// returning the process to run next (nil once the run stopped), or
+	// reports false when it finished; yield (process side) suspends it in
+	// favor of the given process and reports false when Close is unwinding
+	// it; stop unwinds it.
+	next  func() (*Proc, bool)
+	yield func(*Proc) bool
+	stop  func()
 
 	// pendingEv is the process's outstanding wake (or spawn) event, if any.
 	// At most one exists at a time (wake enforces this). If the process
@@ -242,19 +226,15 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return e.spawnAt(t, name, fn, false)
 }
 
-// killed is the sentinel panic value used by Close to unwind daemon
-// goroutines.
+// killed is the sentinel panic value that unwinds a process stopped by
+// Close.
 type killed struct{}
 
 func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Proc {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: SpawnAt(%v) in the past (now %v)", t, e.now))
 	}
-	// resume is buffered so a handoff to a goroutine that has not yet
-	// reached its first select (spawn start) deposits the token without
-	// blocking the sender. At most one token is ever outstanding
-	// (wakePending invariant).
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}, 1), id: e.seq, daemon: daemon}
+	p := &Proc{eng: e, name: name, id: e.seq, daemon: daemon}
 	if !daemon {
 		e.live++
 	}
@@ -265,40 +245,29 @@ func (e *Engine) spawnAt(t Time, name string, fn func(p *Proc), daemon bool) *Pr
 		e.fr.record(e.now, FlightSpawn, name, "", -1)
 	}
 	e.alive[p] = true
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(*Proc) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
-			if _, ok := r.(killed); ok {
-				// Unwound by Close: the engine is being torn down
-				// concurrently, so only acknowledge — no state changes.
-				e.exited <- struct{}{}
-				return
-			}
-			// The goroutine still holds the ball here; procExit retires the
-			// process and continues dispatching on this stack.
-			switch v := r.(type) {
-			case nil:
-				e.procExit(p, nil, nil)
-			case crashedProc:
+			switch v := recover().(type) {
+			case killed:
+				// Unwound by Close: the engine is being torn down.
+			case nil, crashedProc:
 				// A killed (crashed) process counts as a clean finish:
 				// the simulation keeps running on the survivors.
-				e.procExit(p, nil, nil)
+				e.procExit(p, nil)
 			case abortUnwind:
-				e.procExit(p, nil, v.err)
+				// %w keeps errors.Is/As working on the typed failure
+				// (e.g. *RankFailedError) for callers of Run.
+				e.procExit(p, fmt.Errorf("sim: process %q failed: %w", p.name, v.err))
 			default:
-				e.procExit(p, v, nil)
+				e.procExit(p, &PanicError{Proc: p.name, Value: v})
 			}
 		}()
-		select {
-		case <-p.resume:
-		case <-e.dead:
-			panic(killed{})
-		}
 		if p.crashed {
 			panic(crashedProc{})
 		}
 		fn(p)
-	}()
+	})
 	e.schedule(t, p, nil, "spawn")
 	return p
 }
@@ -340,8 +309,7 @@ func (e *Engine) release(ev *event) {
 }
 
 // After runs fn in engine context after delay d. fn must not block. It is
-// safe to call from engine callbacks and from process goroutines while they
-// hold the ball.
+// safe to call from engine callbacks and from running processes.
 func (e *Engine) After(d Duration, fn func()) {
 	e.schedule(e.now.Add(d), nil, fn, "after")
 }
@@ -356,14 +324,13 @@ func (e *Engine) wake(p *Proc, t Time, why string) {
 	e.schedule(t, p, nil, why)
 }
 
-// dispatch runs the event loop on the calling goroutine until the ball is
-// handed to another process or the simulation stops. self identifies the
-// calling goroutine's process (nil for the Run goroutine). It returns true
-// when the next runnable event resumes self — the fast path: the caller
-// just keeps executing, with no scheduler transfer at all. Engine callbacks
-// (pure-delay timers, deferred deliveries) run inline on this stack, so
-// they never wake a goroutine either.
-func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
+// dispatch runs the event loop on the calling stack (the driver's or a
+// parking process's) until a process event surfaces, and returns that
+// process. A parking process that gets itself back just keeps executing,
+// with no switch at all. Engine callbacks (pure-delay timers, deferred
+// deliveries) run inline. dispatch returns nil when the run stops: the
+// queue drained, the window ended, or an error was recorded in stopErr.
+func (e *Engine) dispatch() *Proc {
 	for {
 		if e.limit != 0 {
 			// Windowed mode: never pop past the window boundary. An empty
@@ -371,19 +338,15 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			// events for our procs may still arrive through the conduit,
 			// so termination is decided by the group, not locally.
 			if next := e.q.peek(); next == nil || next.at >= e.limit {
-				e.paused = true
-				e.stop(self, nil)
-				return false
+				return nil
 			}
 		}
 		ev := e.q.pop()
 		if ev == nil {
 			if e.live > 0 {
-				e.stop(self, &DeadlockError{At: e.now, Waiting: e.waitingList()})
-			} else {
-				e.stop(self, nil)
+				e.stop(&DeadlockError{At: e.now, Waiting: e.waitingList()})
 			}
-			return false
+			return nil
 		}
 		if ev.at < e.now {
 			panic("sim: time went backwards")
@@ -391,8 +354,8 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		if e.deadline > 0 && ev.at > e.deadline {
 			// The event is dropped, not released: a canceled proc event may
 			// still be referenced as a pendingEv, and the engine is done.
-			e.stop(self, &TimeoutError{Deadline: e.deadline, At: ev.at, Waiting: e.waitingList()})
-			return false
+			e.stop(&TimeoutError{Deadline: e.deadline, At: ev.at, Waiting: e.waitingList()})
+			return nil
 		}
 		e.now = ev.at
 		if e.m != nil {
@@ -414,8 +377,8 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 				e.fr.record(e.now, FlightCallback, "", "", -1)
 			}
 			if err := e.runCallback(fn); err != nil {
-				e.stop(self, err)
-				return false
+				e.stop(err)
+				return nil
 			}
 			continue
 		}
@@ -428,32 +391,21 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		if e.fr != nil {
 			e.fr.record(e.now, FlightEvent, p.name, "", -1)
 		}
-		if p == self {
-			return true
-		}
-		p.resume <- struct{}{}
-		return false
+		return p
 	}
 }
 
-// stop ends the run: it records the outcome and wakes the Run goroutine.
-// When Run's own dispatch is the caller (self == nil) no token is needed —
-// the outcome is read directly.
-func (e *Engine) stop(self *Proc, err error) {
-	if e.fr != nil && err != nil {
+// stop records the terminal error that ends the current run.
+func (e *Engine) stop(err error) {
+	if e.fr != nil {
 		e.fr.record(e.now, FlightStop, "", err.Error(), -1)
 	}
 	e.stopErr = err
-	if self == nil {
-		e.stopLocal = true
-		return
-	}
-	e.driver <- struct{}{}
 }
 
-// procExit retires a finished process while its goroutine still holds the
-// ball, then either continues dispatching on this stack or ends the run.
-func (e *Engine) procExit(p *Proc, panicked any, aborted error) {
+// procExit retires a finished process on its own stack. A non-nil err (a
+// panic or an abort) ends the run; otherwise the driver dispatches on.
+func (e *Engine) procExit(p *Proc, err error) {
 	if !p.daemon {
 		e.live--
 	}
@@ -467,29 +419,22 @@ func (e *Engine) procExit(p *Proc, panicked any, aborted error) {
 	if e.trace != nil {
 		e.tracef("finish %s", p.name)
 	}
-	if panicked != nil {
-		e.stop(p, &PanicError{Proc: p.name, Value: panicked})
-		return
+	if err != nil {
+		e.stop(err)
 	}
-	if aborted != nil {
-		// %w keeps errors.Is/As working on the typed failure
-		// (e.g. *RankFailedError) for callers of Run.
-		e.stop(p, fmt.Errorf("sim: process %q failed: %w", p.name, aborted))
-		return
-	}
-	e.dispatch(p)
 }
 
-// park is called from a process goroutine: it hands off the ball and blocks
-// until resumed. why is reported in deadlock diagnostics; it must be a
-// static string (parkFor carries a duration detail without formatting).
+// park suspends the calling process until it is resumed. why is reported in
+// deadlock diagnostics; it must be a static string (parkFor carries a
+// duration detail without formatting).
 func (p *Proc) park(why string) { p.parkFor(why, -1) }
 
 // parkFor parks with a duration detail that deadlock/timeout diagnostics
 // format lazily, keeping fmt out of the park hot path. The process itself
 // dispatches the next events: if the first non-callback event is its own
-// wake it simply returns (no goroutine switch); otherwise it hands the ball
-// to the next process and blocks.
+// wake it simply returns (no switch); otherwise it yields the next process
+// (nil when the run stopped) to the driver and stays suspended until the
+// driver resumes it.
 func (p *Proc) parkFor(why string, d Duration) {
 	e := p.eng
 	p.parked = true
@@ -501,12 +446,8 @@ func (p *Proc) parkFor(why string, d Duration) {
 	if e.fr != nil {
 		e.fr.record(e.now, FlightPark, p.name, why, d)
 	}
-	if !e.dispatch(p) {
-		select {
-		case <-p.resume:
-		case <-e.dead:
-			panic(killed{})
-		}
+	if next := e.dispatch(); next != p && !p.yield(next) {
+		panic(killed{})
 	}
 	p.wakePending = false
 	p.parked = false
@@ -616,24 +557,7 @@ func (e *Engine) runCallback(fn func()) (err error) {
 // clean completion (all processes finished), a *DeadlockError if processes
 // remain blocked forever, or a *PanicError if a process (or an engine
 // callback) panicked.
-//
-// Run's goroutine is not on the event path: it starts the dispatch chain and
-// then parks until some goroutine ends the simulation. All intermediate
-// transfers go process-to-process.
-func (e *Engine) Run() error {
-	if e.running {
-		panic("sim: Engine.Run reentered")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	e.stopErr, e.stopLocal = nil, false
-	e.dispatch(nil)
-	if !e.stopLocal {
-		<-e.driver
-	}
-	e.stopLocal = false
-	return e.stopErr
-}
+func (e *Engine) Run() error { return e.drive(0) }
 
 // RunWindow executes the simulation until every remaining event lies at or
 // beyond limit (exclusive), or until it stops for a terminal reason
@@ -641,23 +565,28 @@ func (e *Engine) Run() error {
 // Group to advance shards in conservative-lookahead rounds: an empty queue
 // pauses instead of deadlocking, because with multiple shards new events may
 // still arrive through the conduit between windows. Processes parked at the
-// boundary stay blocked on their resume channels and continue seamlessly in
-// the next window. Termination (clean finish or deadlock) is decided by the
-// group across all shards, never by one window.
-func (e *Engine) RunWindow(limit Time) error {
+// boundary stay suspended in their coroutines and continue seamlessly when
+// a later window dispatches their wake. Termination (clean finish or
+// deadlock) is decided by the group across all shards, never by one window.
+func (e *Engine) RunWindow(limit Time) error { return e.drive(limit) }
+
+// drive is the engine's driver loop: it resumes each process that dispatch
+// returns until the run stops. A running process hands off by yielding the
+// next process back here; one that finishes leaves dispatching to the loop.
+func (e *Engine) drive(limit Time) error {
 	if e.running {
-		panic("sim: Engine.RunWindow reentered")
+		panic("sim: Engine.Run reentered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.limit = limit
-	e.stopErr, e.stopLocal, e.paused = nil, false, false
-	e.dispatch(nil)
-	if !e.stopLocal {
-		<-e.driver
+	e.limit, e.stopErr = limit, nil
+	for p := e.dispatch(); p != nil; {
+		next, ok := p.next()
+		if !ok && e.stopErr == nil {
+			next = e.dispatch()
+		}
+		p = next
 	}
-	e.stopLocal = false
-	e.limit = 0
 	return e.stopErr
 }
 

@@ -3,8 +3,8 @@ package sim
 import "testing"
 
 // Benchmarks for the engine hot path: steady-state Advance (one event
-// schedule + two context handoffs per call), engine-context callbacks, and
-// a two-process gate ping-pong. Paired with TestAdvanceAllocationGuard,
+// schedule, resumed in place with no switch), engine-context callbacks, and
+// a two-process gate ping-pong (a handoff through the driver per wait). Paired with TestAdvanceAllocationGuard,
 // which pins the per-Advance allocation count at zero.
 
 func BenchmarkProcAdvance(b *testing.B) {
@@ -44,7 +44,7 @@ func BenchmarkAfterCallback(b *testing.B) {
 
 // BenchmarkEngineManyProcs models the scheduler profile of a many-rank cell:
 // 64 processes advancing in lock-step, so every event dispatch hands control
-// to a different goroutine (no self-resume fast path applies).
+// to a different process (no self-resume fast path applies).
 func BenchmarkEngineManyProcs(b *testing.B) {
 	b.ReportAllocs()
 	const procs = 64

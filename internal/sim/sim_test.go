@@ -2,10 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func mustRun(t *testing.T, e *Engine) {
@@ -536,34 +534,23 @@ func TestEngineCallbackPanicBecomesError(t *testing.T) {
 }
 
 func TestCloseAfterFailedRunLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		e := NewEngine()
-		e.SpawnDaemon("daemon", func(p *Proc) {
-			m := NewMailbox[int]("never")
-			for {
-				m.Get(p)
+		checkCloseReclaims(t, func(e *Engine) {
+			e.SpawnDaemon("daemon", func(p *Proc) {
+				m := NewMailbox[int]("never")
+				for {
+					m.Get(p)
+				}
+			})
+			g := NewGate("never")
+			for j := 0; j < 3; j++ {
+				e.Spawn("stuck", func(p *Proc) { g.Wait(p) })
+			}
+			if _, ok := e.Run().(*DeadlockError); !ok {
+				t.Fatal("expected deadlock")
 			}
 		})
-		g := NewGate("never")
-		for j := 0; j < 3; j++ {
-			e.Spawn("stuck", func(p *Proc) { g.Wait(p) })
-		}
-		if _, ok := e.Run().(*DeadlockError); !ok {
-			t.Fatal("expected deadlock")
-		}
-		e.Close()
 	}
-	// Termination is synchronous in Close, but give the runtime a few
-	// scheduling quanta to retire the unwound goroutines.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("goroutines: before %d, after %d", before, runtime.NumGoroutine())
 }
 
 // TestAdvanceAllocationGuard pins the steady-state allocation cost of
