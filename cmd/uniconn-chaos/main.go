@@ -15,8 +15,8 @@
 // revoking and shrinking the communicator, plus the failure-detection and
 // recovery latencies and the adaptive-routing failover count. -topology
 // accepts a comma-separated list in this mode, one table section (and one
-// BENCH JSON entry) per topology; -shards runs the hard-fault cells on the
-// sharded engine, bit-identical at every shard count >= 1. -benchjson
+// BENCH JSON entry) per topology; -shards runs the hard-fault cells on that
+// many engine shards, bit-identical at every shard count. -benchjson
 // records the recovery sweep's wall clock and completion rate.
 //
 // -live serves the live telemetry endpoints (/metrics /healthz /debug/runs
@@ -114,7 +114,7 @@ type recoveryBackendRun struct {
 // recoveryMode runs the hard-fault severity sweep per topology and backend,
 // prints one table section per topology, and optionally records wall-clock +
 // completion-rate JSON. The printed table carries virtual-time quantities
-// only, so its bytes are identical at every -shards count >= 1 and with
+// only, so its bytes are identical at every -shards count and with
 // -live on or off (the CI determinism gates compare them with cmp). With
 // -flight > 0 each faulted cell's flight-recorder post-mortem lands in the
 // JSON and on stderr; a SIGINT flushes the completed portion of the report.

@@ -17,7 +17,7 @@ import (
 
 // runAllreduceCell launches one simulation cell: ranks processes on
 // Perlmutter, each running iters MPI allreduces over elems float64 elements.
-// shards selects the engine shard count (0 = serial legacy engine).
+// shards is the engine shard count hint (core.Config.Shards).
 func runAllreduceCell(b *testing.B, ranks, elems, iters, shards int) {
 	b.Helper()
 	_, err := core.Launch(core.Config{Model: machine.Perlmutter(), NGPUs: ranks, Backend: core.MPIBackend, Shards: shards},
@@ -67,18 +67,10 @@ func BenchmarkCellMedium(b *testing.B) {
 	}
 }
 
-// BenchmarkCellLargeShards1/4 run the 64-rank cell on the windowed
-// parallel-in-virtual-time engine (BENCH_engine.json's shards column).
-// Shards1 isolates the windowing overhead against BenchmarkCellLarge;
-// Shards4 adds real parallelism on multi-core hosts (the 16 nodes are
-// spread over 4 worker goroutines).
-func BenchmarkCellLargeShards1(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runAllreduceCell(b, 64, 256, 20, 1)
-	}
-}
-
+// BenchmarkCellLargeShards4 runs the 64-rank cell on four engine shards
+// (BENCH_engine.json's shards column): the same windows as
+// BenchmarkCellLarge, with the 16 nodes spread over 4 worker goroutines,
+// so it measures what parallelism buys on multi-core hosts.
 func BenchmarkCellLargeShards4(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -117,7 +117,7 @@ func EvalSpec(s spec.Spec, opt EvalOptions) ([]byte, bool, error) {
 	if body, ok := opt.Cache.Get(h); ok {
 		return body, true, nil
 	}
-	res, err := evalCold(s.Normalize(), h, opt.Costs)
+	res, err := evalCold(s.Normalize(), s.Shards, h, opt.Costs)
 	if err != nil {
 		return nil, false, err
 	}
@@ -182,21 +182,11 @@ func workerCosts(costs []map[string]*machine.CostCache, k int, s spec.Spec) *mac
 	return cc
 }
 
-// engineShards maps a spec shard count onto core.Config.Shards: positive
-// counts select the windowed protocol verbatim, and 0 becomes an explicit -1
-// (serial engine) so the evaluating process's UNICONN_SHARDS environment can
-// never change a content-addressed result.
-func engineShards(n int) int {
-	if n > 0 {
-		return n
-	}
-	return -1
-}
-
-// evalCold simulates the (normalized, validated) spec and assembles the
-// Result. The trace log is private to the cell per the runner's
+// evalCold simulates the (normalized, validated) spec with the caller's
+// shard hint (core.Config.Shards; it changes wall time only) and assembles
+// the Result. The trace log is private to the cell per the runner's
 // observability ownership rule.
-func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error) {
+func evalCold(n spec.Spec, shards int, hash string, costs *machine.CostCache) (Result, error) {
 	m, err := n.Model()
 	if err != nil {
 		return Result{}, err
@@ -217,7 +207,7 @@ func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error
 			Model: m, Backend: backend, API: api,
 			Native: n.Native, Inter: n.Inter, Bytes: n.Bytes,
 			Iters: n.Iters, Warmup: n.Warmup, Window: n.Window,
-			Shards: engineShards(n.Shards), Trace: log, Costs: costs,
+			Shards: shards, Trace: log, Costs: costs,
 		}
 		cfg.Faults, err = specPlan(n, cfg)
 		if err != nil {
@@ -247,7 +237,7 @@ func evalCold(n spec.Spec, hash string, costs *machine.CostCache) (Result, error
 		}
 		cfg := ScaleConfig{
 			Model: m, Ranks: n.Ranks, Bytes: n.Bytes, Alg: alg,
-			Iters: n.Iters, Warmup: n.Warmup, Shards: engineShards(n.Shards),
+			Iters: n.Iters, Warmup: n.Warmup, Shards: shards,
 			Trace: log, Costs: costs,
 		}
 		per, rep, err := ScaleAllreduce(cfg)

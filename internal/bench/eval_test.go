@@ -109,37 +109,38 @@ func TestEvalSpecReportsHitFlag(t *testing.T) {
 	}
 }
 
-// TestEvalSerialIgnoresShardsEnv pins the env-independence rule: a spec with
-// Shards 0 must evaluate on the serial engine even when the process has
-// UNICONN_SHARDS set (core.Config.Shards 0 would consult it; EvalSpec must
-// not, or the same content address would map to two different results).
-func TestEvalSerialIgnoresShardsEnv(t *testing.T) {
-	s := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 8, Bytes: 4096}
-	clean, _, err := EvalSpec(s, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
+// TestEvalShardHintInvariant pins the cache contract for the Shards hint:
+// specs differing only in Shards share a content address, so a hit stored
+// by one count is served for every other, and that is sound only if fresh
+// evaluations at each count encode to the same bytes. The echoed spec must
+// not carry the hint either, or the bodies would differ by it. A set
+// UNICONN_SHARDS environment must not matter.
+func TestEvalShardHintInvariant(t *testing.T) {
+	base := spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 16, Bytes: 1 << 16}
+	var want []byte
+	for _, shards := range []int{0, 1, 4} {
+		s := base
+		s.Shards = shards
+		if s.Hash() != base.Hash() {
+			t.Fatalf("shards %d changed the hash", shards)
+		}
+		body, _, err := EvalSpec(s, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = body
+		} else if !bytes.Equal(body, want) {
+			t.Fatalf("shards %d body differs from shards 0:\n%s\n%s", shards, body, want)
+		}
 	}
 	t.Setenv("UNICONN_SHARDS", "4")
-	dirty, _, err := EvalSpec(s, EvalOptions{})
+	env, _, err := EvalSpec(base, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(clean, dirty) {
-		t.Fatal("UNICONN_SHARDS leaked into a content-addressed evaluation")
-	}
-	// And the windowed protocol is genuinely different — the reason shards
-	// participate in the hash as a bit.
-	sw := s
-	sw.Shards = 2
-	windowed, _, err := EvalSpec(sw, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(clean, windowed) {
-		t.Log("serial and windowed happen to agree for this cell (allowed, not guaranteed)")
-	}
-	if s.Hash() == sw.Hash() {
-		t.Fatal("serial and windowed specs must have distinct hashes")
+	if !bytes.Equal(env, want) {
+		t.Fatal("UNICONN_SHARDS changed the body")
 	}
 }
 

@@ -40,8 +40,8 @@ type NetConfig struct {
 	// (default 64, as in the paper).
 	Window int
 
-	// Shards selects the engine shard count of the run (0 = the
-	// UNICONN_SHARDS environment default; see core.Config.Shards).
+	// Shards is the engine shard count hint of the run (core.Config.Shards:
+	// 0 = UNICONN_SHARDS or one shard); it changes wall time only.
 	Shards int
 
 	// Topology overrides the inter-node network of the run (flat, fat-tree,

@@ -47,10 +47,10 @@ type RecoveryConfig struct {
 	// Topology overrides the model's inter-node topology for this run
 	// (core.Config.Topology); the zero value keeps the model's own setting.
 	Topology fabric.TopologyConfig
-	// Shards selects parallel-in-virtual-time execution (core.Config.Shards):
-	// 0 consults UNICONN_SHARDS or runs serial; any positive count runs the
-	// windowed protocol, bit-identical at every shard count >= 1 — hard-fault
-	// plans included, since the failure timetable is shard-invariant.
+	// Shards is the engine shard count hint (core.Config.Shards; 0 consults
+	// UNICONN_SHARDS, else one shard). Results are bit-identical at every
+	// count — hard-fault plans included, since the failure timetable is
+	// shard-invariant.
 	Shards int
 	// Metrics, when non-nil, collects the run's counters (one registry per
 	// run — the sweep ownership rule of runner.go).

@@ -33,7 +33,8 @@ type ScaleConfig struct {
 	Alg mpi.AllreduceAlg
 	// Iters timed iterations after Warmup untimed ones (defaults 4 and 1).
 	Iters, Warmup int
-	// Shards selects the engine shard count (0 = environment default).
+	// Shards is the engine shard count hint (core.Config.Shards: 0 =
+	// UNICONN_SHARDS or one shard); it changes wall time only.
 	Shards int
 	// Compute additionally initializes the vectors with known values and
 	// verifies the reduction result on every rank. Off, the cell is a pure

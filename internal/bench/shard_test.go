@@ -1,13 +1,13 @@
 package bench
 
 // Shard-count determinism tests, mirroring the workers=1-vs-8 discipline of
-// runner_test.go at the engine level: the same cell run at shards=1 and
-// shards=N must produce bit-identical virtual-time results. Compares are
-// always 1-vs-N — both sides run the windowed conservative-lookahead
-// protocol, which is the determinism contract (the serial shards=0 path may
-// legitimately time contended inter-node transfers differently).
+// runner_test.go at the engine level: Shards is an execution hint, so the
+// same cell run at any shard count must produce bit-identical virtual-time
+// results. Every run is a sim.Group; shards=0 (the default) is the
+// one-engine group, not a separate model.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -15,7 +15,44 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/spec"
 )
+
+// TestPublishedNumbersIgnoreShards pins the headline cells the figures and
+// benchmarks publish — a 64-rank allreduce on each topology, and the MPI
+// inter-node 1 MiB latency and bandwidth — to the same encoded result at
+// shards 0, 1 and 4. These are the cells whose inter-node rendezvous and
+// contended ports once timed differently on a separate serial engine.
+func TestPublishedNumbersIgnoreShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second 64-rank cells")
+	}
+	t.Setenv(core.ShardsEnv, "")
+	specs := []spec.Spec{
+		{Workload: spec.WorkloadNetLatency, Inter: true, Bytes: 1 << 20},
+		{Workload: spec.WorkloadNetBandwidth, Inter: true, Bytes: 1 << 20},
+	}
+	for _, topo := range []string{"flat", "fattree", "dragonfly"} {
+		specs = append(specs, spec.Spec{Workload: spec.WorkloadAllreduce, Ranks: 64,
+			Bytes: 64 << 10, Iters: 1, Warmup: 1, Topology: topo})
+	}
+	for _, base := range specs {
+		var want []byte
+		for _, shards := range []int{0, 1, 4} {
+			s := base
+			s.Shards = shards
+			body, _, err := EvalSpec(s, EvalOptions{})
+			if err != nil {
+				t.Fatalf("%s shards %d: %v", s, shards, err)
+			}
+			if want == nil {
+				want = body
+			} else if !bytes.Equal(body, want) {
+				t.Fatalf("%s: shards %d differs from shards 0:\n%s\n%s", s, shards, body, want)
+			}
+		}
+	}
+}
 
 // runAllreduceCellShards launches a ranks-wide MPI allreduce cell at the
 // given shard count and returns the finish time plus every rank's full
@@ -88,7 +125,7 @@ func TestAllreduceCellShardsRendezvous(t *testing.T) {
 
 // TestFigureSweepShardsDeterministic renders Fig 6 with the engine forced
 // to shards=1 and shards=4 and asserts byte-identical output, mirroring
-// TestFigureSweepDeterministic's workers discipline. Non-MPI cells clamp to
+// TestFigureSweepDeterministic's workers discipline. Non-MPI cells run on
 // one shard on both sides; the MPI cells exercise the real 1-vs-N contract.
 func TestFigureSweepShardsDeterministic(t *testing.T) {
 	if testing.Short() {

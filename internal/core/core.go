@@ -120,22 +120,17 @@ type Config struct {
 	// mismatches are ignored. A shared cache never binds per-run metrics
 	// counters, so Metrics snapshots stay per-cell deterministic.
 	Costs *machine.CostCache
-	// Shards selects parallel-in-virtual-time execution: the cell's ranks
-	// are partitioned by cluster node across this many engines, advanced in
-	// conservative lookahead windows (sim.Group; DESIGN.md §12). 0 (the
-	// default) consults the UNICONN_SHARDS environment variable and falls
-	// back to the classic serial engine; a negative count forces the serial
-	// engine regardless of the environment (content-addressed evaluation
-	// needs env-independent results; see internal/bench.EvalSpec); any
-	// positive count (clamped to the node count) runs the windowed
-	// protocol, whose virtual-time results are bit-identical at every
-	// shard count >= 1. Hard-fault plans shard
-	// too: the failure timetable is precomputed at launch and pre-armed on
-	// every shard, so detector leases and interrupt delivery are shard-
-	// deterministic (DESIGN.md §14). Models without an inter-node latency
-	// floor fall back to serial regardless of the setting, and non-MPI
-	// backends clamp to one shard (their transfer paths couple engines
-	// directly).
+	// Shards is an execution hint: the number of engines (shards) the
+	// cell's ranks are partitioned across by cluster node, advanced in
+	// conservative lookahead windows (sim.Group; DESIGN.md §12). Every run
+	// is such a group, and its virtual-time results are bit-identical at
+	// every shard count, so the hint changes wall time only. 0 (the
+	// default) consults the UNICONN_SHARDS environment variable; a
+	// non-positive result (or a negative Shards) runs one shard. The count
+	// is clamped to the node count, and non-MPI backends run on one shard
+	// (GPUCCL, GPUSHMEM and RMA transfers couple engines directly).
+	// Hard-fault plans shard too: the failure timetable is precomputed at
+	// launch and pre-armed on every shard (DESIGN.md §14).
 	Shards int
 }
 
@@ -144,26 +139,18 @@ type Config struct {
 // it, and the CI determinism tests toggle it per run.
 const ShardsEnv = "UNICONN_SHARDS"
 
-// shards resolves the effective shard count: 0 for the serial engine, or a
-// positive windowed shard count (before node-count clamping).
+// shards resolves the shard count before node-count clamping: Shards, or
+// the environment when Shards is 0, and at least one.
 func (cfg Config) shards() int {
 	s := cfg.Shards
 	if s == 0 {
-		if v, err := strconv.Atoi(os.Getenv(ShardsEnv)); err == nil {
-			s = v
-		}
+		s, _ = strconv.Atoi(os.Getenv(ShardsEnv))
 	}
-	if s <= 0 {
-		return 0
-	}
-	if cfg.Model.MinInterAlpha() <= 0 {
-		return 0 // no latency floor, no lookahead window
-	}
-	if cfg.Backend != MPIBackend {
+	if s < 1 || cfg.Backend != MPIBackend {
 		// GPUCCL/GPUSHMEM move data with direct cross-node Transfer calls
 		// (and RMA windows); until those learn the conduit they run whole
-		// on one windowed engine.
-		s = 1
+		// on one engine.
+		return 1
 	}
 	return s
 }
@@ -199,6 +186,9 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Backend == GpushmemBackend && !cfg.Model.HasGPUSHMEM {
 		return fmt.Errorf("core: %s has no GPUSHMEM implementation", cfg.Model.Name)
+	}
+	if cfg.Model.MinInterAlpha() <= 0 {
+		return fmt.Errorf("core: %s has no inter-node latency floor (no cost profile with a positive inter-node alpha), so the engine has no lookahead window", cfg.Model.Name)
 	}
 	return nil
 }
@@ -282,36 +272,32 @@ func (j *Job) faultSummary() FaultSummary {
 // drives the simulation to completion. It is the moral equivalent of
 // mpirun/srun for the simulated cluster.
 //
-// The serial engine is the one-engine case with no sim.Group. A windowed
-// run (cfg.shards() > 0, which has already excluded models without a
-// latency floor and clamped non-MPI backends to one shard) builds one
-// engine per shard, clamped to the node count, with ranks partitioned by
-// cluster node and windows driven by a sim.Group whose lookahead is the
-// machine's minimum inter-node delivery delay. Hard-fault plans run on
-// either: the failure timetable is static, so kills land on the crashed
-// rank's own engine and declarations are pre-armed on every engine at the
-// same virtual time (recovery.go).
+// Every run is a sim.Group: cfg.shards() engines (clamped to the node
+// count), ranks partitioned by cluster node, advanced in windows whose
+// lookahead is the machine's minimum inter-node delivery delay. One shard
+// is the group's inline case, not a separate model, so results do not
+// depend on the count. Hard-fault plans run at any count: the failure
+// timetable is static, so kills land on the crashed rank's own engine and
+// declarations are pre-armed on every engine at the same virtual time
+// (recovery.go).
 func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	var rep Report
 	if err := cfg.Validate(); err != nil {
 		return rep, err
 	}
 	cfg.Model = cfg.effectiveModel()
-	var shardOf []int // node -> shard; nil on the serial engine
-	engines := []*sim.Engine{sim.NewEngine()}
-	if s := cfg.shards(); s > 0 {
-		nodes := cfg.Model.NodesFor(cfg.NGPUs)
-		s = min(s, nodes)
-		// Nodes map to shards round-robin; any deterministic map works (the
-		// protocol is partition-independent), round-robin balances uneven
-		// node counts.
-		shardOf = make([]int, nodes)
-		for n := range shardOf {
-			shardOf[n] = n % s
-		}
-		for len(engines) < s {
-			engines = append(engines, sim.NewEngine())
-		}
+	nodes := cfg.Model.NodesFor(cfg.NGPUs)
+	s := min(cfg.shards(), nodes)
+	// Nodes map to shards round-robin; any deterministic map works (the
+	// protocol is partition-independent), round-robin balances uneven node
+	// counts.
+	shardOf := make([]int, nodes)
+	for n := range shardOf {
+		shardOf[n] = n % s
+	}
+	engines := make([]*sim.Engine, s)
+	for i := range engines {
+		engines[i] = sim.NewEngine()
 	}
 	defer func() {
 		for _, e := range engines {
@@ -321,17 +307,6 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 	flight := cfg.Flight.install(engines)
 	cluster := gpu.NewClusterOn(engines, shardOf, cfg.Model, cfg.NGPUs)
 	cfg.applyCosts(cluster)
-	run, end := engines[0].Run, engines[0].Now
-	if shardOf != nil {
-		// The lookahead window is the guaranteed lower bound on cross-shard
-		// delivery delay: the machine's minimum inter-node alpha plus, on a
-		// switched topology, the minimal per-route switch latency (every
-		// conduit post — payload or control envelope — carries both).
-		lookahead := cfg.Model.MinInterAlpha() + cluster.Fabric.MinInterExtra()
-		group := sim.NewGroup(engines, shardOf, lookahead)
-		cluster.Conduit = group.Conduit()
-		run, end = group.Run, group.End
-	}
 	job := &Job{cfg: cfg, cluster: cluster}
 	if cfg.Trace != nil {
 		cluster.SetTrace(cfg.Trace)
@@ -371,11 +346,11 @@ func Launch(cfg Config, main func(env *Env)) (Report, error) {
 		job.sched = newFailureSchedule(f, cfg.NGPUs)
 		job.armHardFaults(engines)
 	}
-	if err := run(); err != nil {
+	if err := cluster.Run(); err != nil {
 		flight.dump(err.Error())
 		return rep, err
 	}
-	rep.End = end()
+	rep.End = cluster.End()
 	rep.Topology = cluster.Fabric.Topology()
 	rep.Faults = job.faultSummary()
 	if len(rep.Faults.CrashedRanks) > 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gpu"
@@ -26,6 +27,43 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	if _, err := Launch(Config{Model: machine.LUMI(), NGPUs: 2, Backend: GpushmemBackend}, func(*Env) {}); err == nil {
 		t.Error("GPUSHMEM on LUMI accepted")
+	}
+	// Without an inter-node latency floor there is no lookahead window, so
+	// the model cannot run at all rather than silently running otherwise.
+	bare := &machine.Model{Name: "bare", GPUsPerNode: 4}
+	if _, err := Launch(Config{Model: bare, NGPUs: 8}, func(*Env) {}); err == nil || !strings.Contains(err.Error(), "latency floor") {
+		t.Errorf("model without an inter-node alpha: err = %v, want a latency-floor error", err)
+	}
+}
+
+// TestShardHintResolution pins how the Shards hint maps to engines: 0 and
+// negative counts run one shard, positive counts clamp to the node count,
+// and non-MPI backends always run one shard.
+func TestShardHintResolution(t *testing.T) {
+	t.Setenv(ShardsEnv, "")
+	for _, c := range []struct {
+		shards  int
+		backend BackendID
+		want    int
+	}{
+		{0, MPIBackend, 1},
+		{-1, MPIBackend, 1},
+		{2, MPIBackend, 2},
+		{8, MPIBackend, 3}, // 12 GPUs on 3 nodes
+		{2, GpucclBackend, 1},
+	} {
+		got := 0
+		_, err := Launch(Config{Model: machine.Perlmutter(), NGPUs: 12, Backend: c.backend, Shards: c.shards}, func(env *Env) {
+			if env.WorldRank() == 0 {
+				got = len(env.Device().Cluster().Engines)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want {
+			t.Errorf("Shards %d on %s: %d engines, want %d", c.shards, c.backend, got, c.want)
+		}
 	}
 }
 

@@ -157,7 +157,7 @@ func (j *Job) lastFailureAt(t sim.Time) *sim.RankFailedError {
 }
 
 // armHardFaults schedules the crash kills and the detector declarations onto
-// the engines (one engine for a serial run). Each rank's kill runs on the
+// the engines (one engine for a one-shard run). Each rank's kill runs on the
 // engine owning its node — where the rank's process and GPU streams live —
 // and the declaration interrupts every engine at the same virtual detect
 // time. Fault events are pre-armed on each shard rather than routed through

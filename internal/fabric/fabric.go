@@ -118,9 +118,9 @@ type Fabric struct {
 	topo topology
 	// routeScratch is the reusable port slice of coupled inter-node
 	// transfers. Safe without locking: inter-node Transfer only ever runs
-	// on one engine goroutine (the serial engine, or the single shard of a
-	// clamped windowed run) — sharded MPI runs book inter-node traffic
-	// through SendInter/RecvInter, which never route through switches.
+	// on one engine goroutine (GPUCCL, GPUSHMEM and MPI RMA run on one
+	// shard) — MPI books inter-node messages through SendInter/RecvInter,
+	// which never route through switches.
 	routeScratch []*sim.Timeline
 
 	// m holds pre-resolved metrics instruments (SetMetrics); nil disables.
@@ -388,9 +388,8 @@ func (f *Fabric) TryTransfer(at sim.Time, src, dst int, bytes int64, cost LinkCo
 // split is what lets sharded runs (sim.Group) book each port from exactly
 // one shard. Relative to the coupled Transfer, the split model books the
 // two ports independently (pipelined store-and-forward) instead of finding
-// a common occupancy window, so contended inter-node timings differ between
-// the serial and windowed protocols; they are identical across windowed
-// shard counts, which is what the 1-vs-N byte-compares pin.
+// a common occupancy window. MPI takes it for every inter-node message at
+// every shard count, so its timings do not depend on the count.
 //
 // Hard faults compose with the split model the same way they do with
 // Transfer, and every adjustment is a pure function of (at, src, dst) given

@@ -4,20 +4,23 @@ package fabric
 // straight to NIC ingress) remains the default; fat-tree and dragonfly add
 // a switch fabric between the NICs.
 //
-// Two route models coexist deliberately:
+// Two route models coexist deliberately, split by library (not by shard
+// count):
 //
-//   - The coupled path (Fabric.Transfer, serial engine and single-shard
-//     windowed runs) books every switch output port on the adaptive route
-//     via sim.ReserveMulti, so switch contention shapes timing and the
-//     adaptive policies (least-loaded up-link on the fat-tree, UGAL-style
-//     minimal-vs-Valiant on the dragonfly) react to port occupancy.
-//   - The split path (SendInter/RecvInter, sharded runs) adds the
-//     deterministic minimal-route latency instead: switch ports are shared
-//     by every node pair, so booking them from concurrent shards would
-//     break the one-writer-per-timeline rule. The extra latency is a pure
-//     function of (srcNode, dstNode), which keeps results bit-identical at
-//     any shard count, and its minimum over all pairs extends the
-//     conservative lookahead window (Fabric.MinInterExtra).
+//   - The coupled path (Fabric.Transfer: GPUCCL, GPUSHMEM and MPI RMA,
+//     which run on one engine) books every switch output port on the
+//     adaptive route via sim.ReserveMulti, so switch contention shapes
+//     timing and the adaptive policies (least-loaded up-link on the
+//     fat-tree, UGAL-style minimal-vs-Valiant on the dragonfly) react to
+//     port occupancy.
+//   - The split path (SendInter/RecvInter: every MPI inter-node message,
+//     at any shard count) adds the deterministic minimal-route latency
+//     instead: switch ports are shared by every node pair, so booking them
+//     from concurrent shards would break the one-writer-per-timeline rule.
+//     The extra latency is a pure function of (srcNode, dstNode), which
+//     keeps results bit-identical at any shard count, and its minimum over
+//     all pairs extends the conservative lookahead window
+//     (Fabric.MinInterExtra).
 //
 // Per-topology state is O(switches x radix) port timelines — O(nodes) for
 // both topologies — never O(node pairs): routes are computed arithmetically
@@ -151,11 +154,11 @@ type topology interface {
 	// latency, whether dead elements forced a detour, and a non-nil
 	// *UnreachableError when every live route is gone (a real partition).
 	// Coupled path only: it consults and mutates shared port state, so it
-	// must run on a single engine goroutine at a time (the serial engine,
-	// or the inter-node-free shards of a windowed run never reach it).
+	// must run on a single engine goroutine at a time (the coupled
+	// libraries run on one engine; MPI's split legs never reach it).
 	route(ports []*sim.Timeline, at sim.Time, srcNode, dstNode int) ([]*sim.Timeline, sim.Duration, bool, error)
 	// extra is the deterministic minimal healthy-route switch latency
-	// between two distinct nodes: the split-path (sharded) latency model,
+	// between two distinct nodes: the split-path (MPI) latency model,
 	// also the control-envelope (rendezvous RTS/CTS) wire time.
 	extra(srcNode, dstNode int) sim.Duration
 	// liveExtra is extra over live elements only: the deterministic
@@ -228,7 +231,7 @@ func leastLoaded(ports []*sim.Timeline) int {
 
 // routeHash mixes shard-invariant route inputs into a deterministic 64-bit
 // value (splitmix64 finalizer): the randomness source of Valiant routing
-// must be a pure function of (src, dst, time) so that serial runs replay
+// must be a pure function of (src, dst, time) so that runs replay
 // identically.
 func routeHash(a, b, c uint64) uint64 {
 	x := a*0x9E3779B97F4A7C15 + b*0xC2B2AE3D27D4EB4F + c*0x165667B19E3779F9

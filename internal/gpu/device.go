@@ -14,20 +14,22 @@ import (
 )
 
 // Cluster is the full set of simulated devices of one job, sharing a
-// machine model and a fabric. A serial job runs every device on one engine;
-// a sharded job (core.Config.Shards, sim.Group) partitions devices across
-// per-node shard engines.
+// machine model and a fabric. Its engines form one sim.Group: devices are
+// partitioned by node across the shard engines (one engine unless
+// core.Config.Shards asks for more), and Run advances them in conservative
+// lookahead windows.
 type Cluster struct {
 	// Eng is the first (or only) engine — the legacy accessor every
 	// single-engine call site uses. Per-device code must use
 	// Device.Engine(), which resolves the owning shard.
 	Eng *sim.Engine
-	// Engines lists the shard engines; len 1 for a serial cluster.
+	// Engines lists the shard engines.
 	Engines []*sim.Engine
-	// Conduit, when non-nil, is the cross-shard message channel of a
-	// sharded run. Communication layers route inter-node traffic through
-	// it instead of scheduling directly onto a remote shard's engine.
+	// Conduit is the group's cross-node message channel. MPI routes every
+	// inter-node message through it, on one shard or many alike, instead
+	// of scheduling directly onto the destination's engine.
 	Conduit *sim.Conduit
+	group   *sim.Group
 	Model   *machine.Model
 	Fabric  *fabric.Fabric
 	Devices []*Device
@@ -70,6 +72,12 @@ type Cluster struct {
 	// per-cell metrics snapshots interleaving-dependent.
 	ownCosts bool
 }
+
+// Run advances the cluster's engines to completion (sim.Group.Run).
+func (c *Cluster) Run() error { return c.group.Run() }
+
+// End reports the virtual time of the run's last event (sim.Group.End).
+func (c *Cluster) End() sim.Time { return c.group.End() }
 
 // Cost resolves a transfer cost through the cluster's memoizing cache.
 // Steady-state communication resolves the same few (path, size) pairs over
@@ -152,7 +160,7 @@ func (c *Cluster) SetMetrics(r *metrics.Registry) {
 }
 
 // NewCluster creates nGPUs devices packed onto nodes per the machine model,
-// all running on one engine.
+// all running on one engine (a one-shard group).
 func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 	return NewClusterOn([]*sim.Engine{eng}, nil, model, nGPUs)
 }
@@ -160,22 +168,27 @@ func NewCluster(eng *sim.Engine, model *machine.Model, nGPUs int) *Cluster {
 // NewClusterOn creates nGPUs devices packed onto nodes per the machine
 // model, with each device (and its stream daemons) running on the engine of
 // the shard owning its node: shardOfNode maps node index to engine index
-// (nil assigns every node to engines[0]). The caller wires the matching
-// sim.Group conduit into Conduit afterwards; construction itself only needs
-// the engines, because stream daemons spawn here.
+// (nil assigns every node to engines[0]). The engines form the cluster's
+// sim.Group, whose lookahead is the guaranteed lower bound on cross-node
+// delivery delay: the machine's minimum inter-node alpha plus, on a
+// switched topology, the minimal per-route switch latency (every conduit
+// post, payload or control envelope, carries both). The model must have an
+// inter-node latency floor (machine.Model.MinInterAlpha > 0).
 func NewClusterOn(engines []*sim.Engine, shardOfNode []int, model *machine.Model, nGPUs int) *Cluster {
 	nodes := model.NodesFor(nGPUs)
 	fab := fabric.New(model.FabricConfig(nodes))
+	if shardOfNode == nil {
+		shardOfNode = make([]int, nodes)
+	}
+	group := sim.NewGroup(engines, shardOfNode, model.MinInterAlpha()+fab.MinInterExtra())
 	c := &Cluster{
 		Eng: engines[0], Engines: engines, Model: model, Fabric: fab,
+		Conduit: group.Conduit(), group: group,
 		pools: make(map[reflect.Type]any),
 		costs: machine.NewCostCache(model), ownCosts: true,
 	}
 	for i := 0; i < nGPUs; i++ {
-		eng := engines[0]
-		if shardOfNode != nil {
-			eng = engines[shardOfNode[fab.Node(i)]]
-		}
+		eng := engines[shardOfNode[fab.Node(i)]]
 		d := &Device{
 			ID:      i,
 			Node:    fab.Node(i),
@@ -205,7 +218,7 @@ type Device struct {
 func (d *Device) Cluster() *Cluster { return d.cluster }
 
 // Engine reports the shard engine the device (and its streams) runs on —
-// the cluster's only engine in a serial run.
+// the cluster's only engine in a one-shard run.
 func (d *Device) Engine() *sim.Engine { return d.eng }
 
 // Model reports the machine model.

@@ -102,7 +102,7 @@ type World struct {
 	nextTeamID uint64
 
 	// mColl holds per-kind collective timing histograms
-	// ("gpushmem.coll.<kind>", in ns, kinds as in devKey/hostKey), resolved
+	// ("gpushmem.coll.<kind>", in ns, kinds as in opKey), resolved
 	// at construction; nil when metrics are disabled.
 	mColl map[string]*metrics.Histogram
 }
@@ -171,6 +171,7 @@ type PE struct {
 	devOpSeq  uint64
 	launchSeq uint64
 	splitSeq  uint64
+	world     *Team // cached WorldTeam handle
 
 	// NBI tracking for Quiet.
 	issued    *sim.Counter

@@ -170,8 +170,8 @@ func (pe *PE) CollectiveLaunch(p *sim.Proc, s *gpu.Stream, k *gpu.Kernel, args a
 	inner := *k
 	body := inner.Body
 	inner.Body = func(kc *gpu.KernelCtx) {
-		inst := pe.instanceFor(key)
-		inst.arrive(kc.P, pe, gpu.View{}, gpu.View{}, key, nil)
+		world := pe.WorldTeam()
+		world.instance(key).arrive(kc.P, world, gpu.View{}, gpu.View{}, key, nil)
 		if body != nil {
 			body(kc)
 		}

@@ -4,7 +4,7 @@ package gpushmem
 // host-side collectives to a subset of PEs; TeamSplit partitions an
 // existing team by color/key like shmem_team_split (and MPI_Comm_split).
 // The world team is implicit: the PE-level collective methods in
-// collectives.go delegate to it.
+// collectives.go run the team bodies on the PE's cached world team.
 
 import (
 	"fmt"
@@ -24,13 +24,17 @@ type Team struct {
 	myIdx   int
 }
 
-// WorldTeam returns the implicit all-PEs team handle for this PE.
+// WorldTeam returns the implicit all-PEs team handle for this PE. The
+// handle is cached: a Team is immutable, so every caller can share it.
 func (pe *PE) WorldTeam() *Team {
-	members := make([]int, pe.Size())
-	for i := range members {
-		members[i] = i
+	if pe.world == nil {
+		members := make([]int, pe.Size())
+		for i := range members {
+			members[i] = i
+		}
+		pe.world = &Team{pe: pe, id: 0, members: members, myIdx: pe.rank}
 	}
-	return &Team{pe: pe, id: 0, members: members, myIdx: pe.rank}
+	return pe.world
 }
 
 // Rank reports the calling PE's rank within the team.
@@ -154,8 +158,7 @@ func (t *Team) Shrink(p *sim.Proc, dead map[int]bool, gen int) *Team {
 	return &Team{pe: pe, id: si.id, members: members, myIdx: myIdx}
 }
 
-// Team-scoped host collectives: the same bodies as the world-team versions
-// in collectives.go, with ranks mapped through the membership table and
+// Team-scoped host collectives: the bodies in collectives.go, with
 // instances keyed by team id (so concurrent teams do not cross-talk).
 
 func (t *Team) key(kind string) instKey {
@@ -163,68 +166,11 @@ func (t *Team) key(kind string) instKey {
 	return instKey{seq: t.pe.devOpSeq, kind: fmt.Sprintf("%s@team%d", kind, t.id)}
 }
 
-// instanceForTeam sizes the collective instance to the team.
-func (t *Team) instance(key instKey) *collInst {
-	inst := t.pe.w.insts[key]
-	if inst == nil {
-		n := t.Size()
-		inst = &collInst{
-			ready:   sim.NewGate(fmt.Sprintf("shmem-%s-%d", key.kind, key.seq)),
-			stepRdv: sim.NewRendezvous(fmt.Sprintf("shmem-step-%s-%d", key.kind, key.seq), n),
-			sends:   make([]gpu.View, n),
-			recvs:   make([]gpu.View, n),
-		}
-		t.pe.w.insts[key] = inst
-	}
-	return inst
-}
-
-func (inst *collInst) arriveTeam(p *sim.Proc, t *Team, send, recv gpu.View, key instKey, dataFn func(*collInst)) {
-	inst.sends[t.myIdx] = send
-	inst.recvs[t.myIdx] = recv
-	inst.arrived++
-	if inst.arrived == t.Size() {
-		if dataFn != nil {
-			dataFn(inst)
-		}
-		delete(t.pe.w.insts, key)
-		inst.ready.Fire(p.Engine())
-		return
-	}
-	inst.ready.Wait(p)
-}
-
-// exchangeRounds over team members (peers derived in team-rank space,
-// transfers between world PE ids).
-func (t *Team) exchangeRounds(p *sim.Proc, inst *collInst, rounds int, peerOf func(round int) int, bytesOf func(round int) int64) {
-	pe := t.pe
-	fab := pe.w.cluster.Fabric
-	cl := pe.w.cluster
-	meWorld := pe.rank
-	for r := 0; r < rounds; r++ {
-		inst.stepRdv.Arrive(p)
-		peer := peerOf(r)
-		if peer >= 0 && peer < t.Size() && peer != t.myIdx {
-			dst := t.World(peer)
-			path := fab.PathBetween(meWorld, dst)
-			cost := cl.Cost(machine.LibGPUSHMEM, machine.APIHost, path, bytesOf(r))
-			end := fab.Transfer(p.Now(), meWorld, dst, bytesOf(r), cost)
-			p.AdvanceTo(end)
-		}
-	}
-	inst.stepRdv.Arrive(p)
-}
-
 // BarrierOnStream synchronizes the team's PEs with respect to the stream.
 func (t *Team) BarrierOnStream(p *sim.Proc, s *gpu.Stream) {
 	key := t.key("h-team-barrier")
 	t.pe.hostEnqueue(p, s, "team-barrier", func(sp *sim.Proc) {
-		inst := t.instance(key)
-		inst.arriveTeam(sp, t, gpu.View{}, gpu.View{}, key, nil)
-		n := t.Size()
-		t.exchangeRounds(sp, inst, log2Ceil(n),
-			func(r int) int { return (t.myIdx + (1 << r)) % n },
-			func(int) int64 { return 8 })
+		t.barrier(sp, key, machine.APIHost)
 	})
 }
 
@@ -232,29 +178,7 @@ func (t *Team) BarrierOnStream(p *sim.Proc, s *gpu.Stream) {
 func (t *Team) AllReduceOnStream(p *sim.Proc, s *gpu.Stream, send, recv gpu.View, opr gpu.ReduceOp) {
 	key := t.key("h-team-allreduce")
 	t.pe.hostEnqueue(p, s, "team-allreduce", func(sp *sim.Proc) {
-		inst := t.instance(key)
-		count := send.Len()
-		n := t.Size()
-		inst.arriveTeam(sp, t, send, recv, key, func(inst *collInst) {
-			acc := inst.sends[0].Clone()
-			for r := 1; r < n; r++ {
-				gpu.Reduce(acc, inst.sends[r], count, opr)
-			}
-			for r := 0; r < n; r++ {
-				gpu.Copy(inst.recvs[r], acc, count)
-			}
-			acc.Release()
-		})
-		bytes := send.Bytes()
-		t.exchangeRounds(sp, inst, log2Ceil(n),
-			func(r int) int {
-				peer := t.myIdx ^ (1 << r)
-				if peer >= n {
-					return -1
-				}
-				return peer
-			},
-			func(int) int64 { return bytes })
+		t.allReduce(sp, key, send, recv, opr, machine.APIHost)
 	})
 }
 
@@ -262,35 +186,7 @@ func (t *Team) AllReduceOnStream(p *sim.Proc, s *gpu.Stream, send, recv gpu.View
 func (t *Team) BroadcastOnStream(p *sim.Proc, s *gpu.Stream, buf gpu.View, root int) {
 	key := t.key("h-team-broadcast")
 	t.pe.hostEnqueue(p, s, "team-broadcast", func(sp *sim.Proc) {
-		inst := t.instance(key)
-		n := t.Size()
-		inst.arriveTeam(sp, t, buf, buf, key, func(inst *collInst) {
-			src := inst.sends[root]
-			for r := 0; r < n; r++ {
-				if r != root {
-					gpu.Copy(inst.recvs[r], src, src.Len())
-				}
-			}
-		})
-		fab := t.pe.w.cluster.Fabric
-		cl := t.pe.w.cluster
-		if t.myIdx == root {
-			last := sp.Now()
-			for r := 0; r < n; r++ {
-				if r == root {
-					continue
-				}
-				dst := t.World(r)
-				path := fab.PathBetween(t.pe.rank, dst)
-				cost := cl.Cost(machine.LibGPUSHMEM, machine.APIHost, path, buf.Bytes())
-				end := fab.Transfer(sp.Now(), t.pe.rank, dst, buf.Bytes(), cost)
-				if end > last {
-					last = end
-				}
-			}
-			sp.AdvanceTo(last)
-		}
-		inst.stepRdv.Arrive(sp)
+		t.broadcast(sp, key, buf, root, machine.APIHost)
 	})
 }
 
@@ -298,29 +194,6 @@ func (t *Team) BroadcastOnStream(p *sim.Proc, s *gpu.Stream, buf gpu.View, root 
 func (t *Team) AllGathervOnStream(p *sim.Proc, s *gpu.Stream, send, recv gpu.View, counts, displs []int) {
 	key := t.key("h-team-allgatherv")
 	t.pe.hostEnqueue(p, s, "team-allgatherv", func(sp *sim.Proc) {
-		inst := t.instance(key)
-		n := t.Size()
-		inst.arriveTeam(sp, t, send, recv, key, func(inst *collInst) {
-			for r := 0; r < n; r++ {
-				for dst := 0; dst < n; dst++ {
-					gpu.Copy(inst.recvs[dst].Slice(displs[r], counts[r]), inst.sends[r], counts[r])
-				}
-			}
-		})
-		fab := t.pe.w.cluster.Fabric
-		cl := t.pe.w.cluster
-		bytes := send.Bytes()
-		last := sp.Now()
-		for off := 1; off < n; off++ {
-			dst := t.World((t.myIdx + off) % n)
-			path := fab.PathBetween(t.pe.rank, dst)
-			cost := cl.Cost(machine.LibGPUSHMEM, machine.APIHost, path, bytes)
-			end := fab.Transfer(sp.Now(), t.pe.rank, dst, bytes, cost)
-			if end > last {
-				last = end
-			}
-		}
-		sp.AdvanceTo(last)
-		inst.stepRdv.Arrive(sp)
+		t.allGatherv(sp, key, send, recv, counts, displs, machine.APIHost)
 	})
 }

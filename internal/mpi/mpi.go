@@ -129,10 +129,9 @@ type Endpoint struct {
 	// sendSeqs assigns the per-(destination, context) send sequence numbers
 	// this endpoint stamps on outgoing headers. It lives on the sender (not
 	// in the destination's pairState) so a send touches only sender-side
-	// state — under sharding (gpu.Cluster.Conduit) the destination endpoint
-	// may belong to another shard, and only the conduit may cross shards.
-	// The numbering is identical either way: monotonically increasing from
-	// zero per (src, dst, ctx).
+	// state — the destination endpoint may belong to another shard, and only
+	// the conduit (gpu.Cluster.Conduit) may cross shards. The numbering is
+	// monotonically increasing from zero per (src, dst, ctx).
 	sendSeqs map[pairKey]uint64
 	winSeq   uint64
 }
@@ -207,9 +206,11 @@ type header struct {
 	eager  bool
 	staged gpu.View // eager: payload snapshot taken at send time
 	srcBuf gpu.View // rendezvous: live sender buffer
-	// sGate completes the send. Embedded by value (the Gate zero value is a
-	// valid unfired gate) so the envelope is a single allocation.
+	// sGate completes the send, and req is the sender's handle on it. Both
+	// are embedded by value (the Gate zero value is a valid unfired gate)
+	// so the envelope is a single allocation.
 	sGate sim.Gate
+	req   Request
 }
 
 type postedRecv struct {
@@ -217,10 +218,11 @@ type postedRecv struct {
 	count    int
 	src, tag int
 	ctx      int
-	// done and status are embedded for the same single-allocation reason as
-	// header.sGate; Request points into the envelope.
+	// done, status and req are embedded for the same single-allocation
+	// reason as header.sGate; req points into the envelope.
 	done   sim.Gate
 	status Status
+	req    Request
 }
 
 func (pr *postedRecv) matches(h *header) bool {
@@ -290,16 +292,17 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 		count: buf.Len(), elemSize: buf.ElemSize(),
 	}
 	h.sGate.SetLabel("gate send")
+	h.req.done = &h.sGate
 	bytes := buf.Bytes()
 	fab := w.cluster.Fabric
 	path := fab.PathBetween(srcWorld, dstWorld)
 	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
-	// Inter-node messages of a sharded run cross shards through the
-	// conduit; everything else (and every serial run) stays on the direct
-	// same-engine path. Same-node traffic always shares a shard, so only
-	// PathInter can cross.
+	// Inter-node messages take the conduit legs (egress on the source
+	// shard, conduit post, ingress on the destination shard) at every shard
+	// count; same-node traffic always shares a shard and books the coupled
+	// transfer directly.
+	inter := path == fabric.PathInter
 	cd := w.cluster.Conduit
-	sharded := cd != nil && path == fabric.PathInter
 
 	if bytes <= prof.EagerMax {
 		// Eager: snapshot the payload, inject, and complete locally once
@@ -307,12 +310,10 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 		w.mEager.Inc()
 		h.eager = true
 		h.staged = buf.Clone()
-		if sharded {
-			// Split booking: the source shard books its NIC egress now;
-			// the destination shard books ingress when the conduit
-			// delivers the envelope one wire latency after departure.
+		if inter {
 			depart, booked := fab.SendInter(p.Now(), srcWorld, dstWorld, bytes, cost)
-			cd.Post(fab.Node(srcWorld), fab.Node(dstWorld), depart.Add(booked.Latency), func(dstEng *sim.Engine) {
+			dstEng := dstEp.dev.Engine()
+			cd.Post(fab.Node(srcWorld), fab.Node(dstWorld), depart.Add(booked.Latency), func() {
 				arrive := fab.RecvInter(dstEng.Now(), srcWorld, dstWorld, bytes, booked)
 				dstEng.After(arrive.Sub(dstEng.Now()), func() { dstEp.admit(h) })
 			})
@@ -321,25 +322,25 @@ func (c *Comm) Isend(p *sim.Proc, buf gpu.View, dst, tag int) *Request {
 			eng.After(arrive.Sub(eng.Now()), func() { dstEp.admit(h) })
 		}
 		h.sGate.Fire(eng) // send buffer reusable immediately after staging
-		return &Request{done: &h.sGate}
+		return &h.req
 	}
 
 	// Rendezvous: ship the RTS envelope; the payload moves once the
 	// receiver matches and returns a CTS. The handshake costs the
 	// profile's rendezvous overhead split across RTS and CTS, plus — on a
 	// switched topology — the minimal-route switch latency, which keeps
-	// cross-shard envelope posts past the enlarged lookahead window.
+	// conduit envelope posts past the enlarged lookahead window.
 	w.mRendezvous.Inc()
 	h.srcBuf = buf
 	half := prof.RendezvousOverhead / 2
 	rtsWire := half + cost.Latency + fab.InterExtraLatency(srcWorld, dstWorld)
-	if sharded {
+	if inter {
 		cd.Post(fab.Node(srcWorld), fab.Node(dstWorld), p.Now().Add(rtsWire),
-			func(*sim.Engine) { dstEp.admit(h) })
+			func() { dstEp.admit(h) })
 	} else {
 		eng.After(rtsWire, func() { dstEp.admit(h) })
 	}
-	return &Request{done: &h.sGate}
+	return &h.req
 }
 
 // Irecv starts a non-blocking receive into buf from src (comm rank or
@@ -359,18 +360,19 @@ func (c *Comm) Irecv(p *sim.Proc, buf gpu.View, src, tag int) *Request {
 		buf: buf, count: buf.Len(), src: srcWorld, tag: tag, ctx: c.ctx,
 	}
 	pr.done.SetLabel("gate recv")
+	pr.req = Request{done: &pr.done, status: &pr.status}
 	// Try the unexpected queue first (arrival order), then post.
 	ep := c.ep
 	for i, h := range ep.unexpected {
 		if pr.matches(h) {
 			ep.unexpected = append(ep.unexpected[:i], ep.unexpected[i+1:]...)
 			ep.deliver(h, pr)
-			return &Request{done: &pr.done, status: &pr.status}
+			return &pr.req
 		}
 	}
 	ep.posted = append(ep.posted, pr)
 	ep.noteQueueDepth()
-	return &Request{done: &pr.done, status: &pr.status}
+	return &pr.req
 }
 
 // Send is the blocking standard-mode send.
@@ -475,26 +477,15 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 	bytes := h.srcBuf.Bytes()
 	path := w.cluster.Fabric.PathBetween(h.src, h.dst)
 	cost := w.cluster.Cost(machine.LibMPI, machine.APIHost, path, bytes)
-	if cd := w.cluster.Conduit; cd != nil && path == fabric.PathInter {
-		ep.deliverRendezvousSharded(h, pr, cd, cost, bytes, half)
+	if path == fabric.PathInter {
+		ep.deliverRendezvousInter(h, pr, cost, bytes, half)
 		return
 	}
 	var attempt func(backoff sim.Duration)
 	attempt = func(backoff sim.Duration) {
 		arrive, stall := w.cluster.Fabric.TryTransfer(eng.Now(), h.src, h.dst, bytes, cost)
 		if stall != nil {
-			w.mRetries.Inc()
-			// Wait out the stall (or at least the backoff), then re-run
-			// the handshake with the backoff doubled.
-			wait := backoff
-			if d := stall.Until.Sub(eng.Now()); d > wait {
-				wait = d
-			}
-			next := backoff * 2
-			if next > rendezvousBackoffMax {
-				next = rendezvousBackoffMax
-			}
-			eng.After(wait, func() { attempt(next) })
+			w.retryAfterStall(eng, stall, backoff, attempt)
 			return
 		}
 		eng.After(arrive.Sub(eng.Now()), func() {
@@ -506,54 +497,51 @@ func (ep *Endpoint) deliver(h *header, pr *postedRecv) {
 	eng.After(sim.Duration(half), func() { attempt(rendezvousBackoffBase) })
 }
 
-// deliverRendezvousSharded is the rendezvous payload path of a sharded run:
-// src and dst live on different shards, so every leg crosses through the
-// conduit. The CTS travels back to the source node (paying the other half
-// of the handshake overhead plus one wire latency — the serial protocol
-// folds the CTS wire time into the coupled transfer, so sharded rendezvous
-// timings differ from serial ones; they are identical across shard counts,
-// which is what the 1-vs-N byte-compares pin). At the source the payload is
-// booked with the stall/backoff retry loop against the local NIC egress,
-// snapshotted when it departs, and shipped; the destination books ingress
-// on its own shard and completes the receive.
-func (ep *Endpoint) deliverRendezvousSharded(h *header, pr *postedRecv, cd *sim.Conduit, cost fabric.LinkCost, bytes int64, half sim.Duration) {
+// deliverRendezvousInter is the rendezvous payload path between nodes:
+// src and dst may live on different shards, so every leg crosses through
+// the conduit. The CTS travels back to the source node, paying the other
+// half of the handshake overhead plus one wire latency. At the source the
+// payload is booked with the stall/backoff retry loop against the local NIC
+// egress and copied straight into the matched receive buffer: MPI forbids
+// the receiver to touch that buffer before the receive completes, and the
+// sender may reuse its own buffer once the payload has departed, so the
+// copy needs no staging. The destination books ingress on its own shard
+// and completes the receive.
+func (ep *Endpoint) deliverRendezvousInter(h *header, pr *postedRecv, cost fabric.LinkCost, bytes int64, half sim.Duration) {
 	w := ep.world
 	fab := w.cluster.Fabric
+	cd := w.cluster.Conduit
 	srcNode, dstNode := fab.Node(h.src), fab.Node(h.dst)
+	srcEng, dstEng := w.eps[h.src].dev.Engine(), ep.dev.Engine()
 	ctsWire := half + cost.Latency + fab.InterExtraLatency(h.dst, h.src)
-	cd.Post(dstNode, srcNode, ep.dev.Engine().Now().Add(ctsWire), func(srcEng *sim.Engine) {
+	cd.Post(dstNode, srcNode, dstEng.Now().Add(ctsWire), func() {
 		var attempt func(backoff sim.Duration)
 		attempt = func(backoff sim.Duration) {
 			depart, booked, stall := fab.TrySendInter(srcEng.Now(), h.src, h.dst, bytes, cost)
 			if stall != nil {
-				w.mRetries.Inc()
-				wait := backoff
-				if d := stall.Until.Sub(srcEng.Now()); d > wait {
-					wait = d
-				}
-				next := backoff * 2
-				if next > rendezvousBackoffMax {
-					next = rendezvousBackoffMax
-				}
-				srcEng.After(wait, func() { attempt(next) })
+				w.retryAfterStall(srcEng, stall, backoff, attempt)
 				return
 			}
-			// Snapshot the payload as it leaves the send buffer: the source
-			// completes at departure, so the application may reuse the
-			// buffer before the bytes reach the destination.
-			staged := h.srcBuf.Clone()
+			gpu.Copy(pr.buf, h.srcBuf, h.count)
 			srcEng.After(depart.Sub(srcEng.Now()), func() { h.sGate.Fire(srcEng) })
-			cd.Post(srcNode, dstNode, depart.Add(booked.Latency), func(dstEng *sim.Engine) {
+			cd.Post(srcNode, dstNode, depart.Add(booked.Latency), func() {
 				arrive := fab.RecvInter(dstEng.Now(), h.src, h.dst, bytes, booked)
-				dstEng.After(arrive.Sub(dstEng.Now()), func() {
-					gpu.Copy(pr.buf, staged, h.count)
-					staged.Release()
-					pr.done.Fire(dstEng)
-				})
+				dstEng.After(arrive.Sub(dstEng.Now()), func() { pr.done.Fire(dstEng) })
 			})
 		}
 		attempt(rendezvousBackoffBase)
 	})
+}
+
+// retryAfterStall schedules the next attempt of a rendezvous transfer that
+// a stalled port rejected: it waits out the stall (or at least the
+// backoff), then re-runs the handshake with the backoff doubled, up to
+// rendezvousBackoffMax.
+func (w *World) retryAfterStall(eng *sim.Engine, stall *fabric.StallError, backoff sim.Duration, attempt func(backoff sim.Duration)) {
+	w.mRetries.Inc()
+	wait := max(backoff, stall.Until.Sub(eng.Now()))
+	next := min(2*backoff, rendezvousBackoffMax)
+	eng.After(wait, func() { attempt(next) })
 }
 
 // Rendezvous retry backoff bounds: the first retry after a rejected

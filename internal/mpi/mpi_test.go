@@ -23,7 +23,7 @@ func runRanks(t *testing.T, model *machine.Model, n int, body func(p *sim.Proc, 
 		c := w.CommWorld(r)
 		eng.Spawn(fmt.Sprintf("rank%d", r), func(p *sim.Proc) { body(p, c) })
 	}
-	if err := eng.Run(); err != nil {
+	if err := cl.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
@@ -423,7 +423,7 @@ func TestAllreducePropertyRandomVectors(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := cl.Run(); err != nil {
 			return false
 		}
 		return ok
@@ -458,7 +458,7 @@ func TestMessageLatencyIntraVsInter(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := cl.Run(); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return d
@@ -541,7 +541,7 @@ func runStalledRendezvous(t *testing.T, stallEnd sim.Time) sim.Time {
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
+	if err := cl.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return done
@@ -593,7 +593,7 @@ func TestEagerStagingReusesArena(t *testing.T) {
 			}
 		})
 	}
-	if err := eng.Run(); err != nil {
+	if err := cl.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	st := gpu.PoolStats[float64](cl)

@@ -50,7 +50,7 @@ func TestP2PContentIntegrityAcrossProtocolsProperty(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := cl.Run(); err != nil {
 			return false
 		}
 		return ok
@@ -77,7 +77,7 @@ func TestTruncationPanics(t *testing.T) {
 			}
 		})
 	}
-	err := eng.Run()
+	err := cl.Run()
 	if _, ok := err.(*sim.PanicError); !ok {
 		t.Fatalf("expected PanicError on truncation, got %v", err)
 	}
@@ -159,7 +159,7 @@ func TestCollectivesPropertyAgainstSerial(t *testing.T) {
 				}
 			})
 		}
-		if err := eng.Run(); err != nil {
+		if err := cl.Run(); err != nil {
 			return false
 		}
 		return ok

@@ -96,10 +96,11 @@ func (win *Win) rmaTransfer(p *sim.Proc, origin, srcRank, dstRank int, bytes int
 	p.Advance(prof.CallOverhead)
 	w := c.ep.world
 	eng := w.cluster.Eng
-	if cd := w.cluster.Conduit; cd != nil && cd.Shards() > 1 {
+	if w.cluster.Conduit.Shards() > 1 {
 		// One-sided windows couple origin and target timelines directly
 		// (Transfer + a shared epoch gate list); no split protocol exists
-		// for them yet, and core clamps RMA-using backends to one shard.
+		// for them yet. core runs only the non-MPI backends on one shard,
+		// so an MPI-backend run that uses RMA must not ask for more.
 		panic("mpi: RMA transfers are not supported across engine shards")
 	}
 	srcW, dstW := c.group[srcRank], c.group[dstRank]

@@ -24,12 +24,14 @@ package sim
 //     quantities — and injects them at the barrier in that sorted order.
 //     Injection assigns fresh destination seqs deterministically.
 //
-// Together these make a sharded run's virtual-time results bit-identical at
-// any shard count ≥ 1 (shards=1 still runs the windowed protocol, so the
-// CI byte-compares pin 1-vs-N equality).
+// Together these make a run's virtual-time results bit-identical at any
+// shard count. Every run is a group: the one-shard group executes the same
+// window sequence on one engine, so there is no second serial model.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -41,7 +43,7 @@ type message struct {
 	srcNode  int
 	seq      uint64
 	dstShard int
-	fn       func(*Engine)
+	fn       func()
 }
 
 // Conduit carries cross-node messages between shards. During a window each
@@ -56,6 +58,7 @@ type Conduit struct {
 	engines   []*Engine
 	shardOf   []int       // node -> shard
 	outbox    [][]message // per source shard
+	merged    []message   // inject's scratch, reused across windows
 	seqs      []uint64    // per source node
 	windowEnd Time
 }
@@ -66,10 +69,11 @@ func (c *Conduit) Shards() int { return len(c.engines) }
 // ShardOfNode reports which shard owns a cluster node.
 func (c *Conduit) ShardOfNode(node int) int { return c.shardOf[node] }
 
-// Post sends fn to the shard owning dstNode, to run at absolute virtual
-// time at. It must be called from the shard owning srcNode, while that
-// shard executes a window. at must be at or beyond the current window end.
-func (c *Conduit) Post(srcNode, dstNode int, at Time, fn func(*Engine)) {
+// Post sends fn to the shard owning dstNode, to run as an engine callback
+// of that shard's engine at absolute virtual time at. It must be called
+// from the shard owning srcNode, while that shard executes a window. at
+// must be at or beyond the current window end.
+func (c *Conduit) Post(srcNode, dstNode int, at Time, fn func()) {
 	if at < c.windowEnd {
 		panic(fmt.Sprintf("sim: conduit message at %v violates window boundary %v (lookahead too large for this link)", at, c.windowEnd))
 	}
@@ -84,34 +88,29 @@ func (c *Conduit) Post(srcNode, dstNode int, at Time, fn func(*Engine)) {
 // so the merge order — and therefore the destination seq assignment — is a
 // pure function of the message set, not of shard scheduling.
 func (c *Conduit) inject() {
-	var all []message
+	all := c.merged[:0]
 	for i := range c.outbox {
 		all = append(all, c.outbox[i]...)
+		clear(c.outbox[i])
 		c.outbox[i] = c.outbox[i][:0]
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
-		}
-		if all[i].srcNode != all[j].srcNode {
-			return all[i].srcNode < all[j].srcNode
-		}
-		return all[i].seq < all[j].seq
+	slices.SortFunc(all, func(a, b message) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.srcNode, b.srcNode), cmp.Compare(a.seq, b.seq))
 	})
 	for _, m := range all {
-		m := m
-		e := c.engines[m.dstShard]
-		e.InjectAt(m.at, func() { m.fn(e) })
+		c.engines[m.dstShard].InjectAt(m.at, m.fn)
 	}
+	clear(all) // drop the callbacks so they can be collected
+	c.merged = all[:0]
 }
 
 // Group advances a set of shard engines in conservative lookahead windows.
-// Each shard runs on its own persistent worker goroutine; the group
-// computes window boundaries, relays conduit traffic, and decides
-// termination. All virtual-time state stays confined to one goroutine at a
-// time (a shard's worker, driving its engine's process coroutines, during
-// windows; the group's goroutine between them), with the command/done
-// channels providing the happens-before edges.
+// With more than one shard, each runs on its own persistent worker
+// goroutine; the group computes window boundaries, relays conduit traffic,
+// and decides termination. All virtual-time state stays confined to one
+// goroutine at a time (a shard's worker, driving its engine's process
+// coroutines, during windows; the group's goroutine between them), with the
+// command/done channels providing the happens-before edges.
 type Group struct {
 	engines   []*Engine
 	conduit   *Conduit
@@ -169,24 +168,17 @@ type windowResult struct {
 // on any shard with no pending events anywhere, or the terminal error of
 // the lowest-indexed failing shard (a deterministic choice when several
 // shards fail in the same window).
+//
+// A one-engine group runs every window inline on the caller's goroutine:
+// the window sequence is the same as at any other shard count, so only the
+// worker goroutines and their per-window channel round trips are skipped.
 func (g *Group) Run() error {
-	n := len(g.engines)
-	cmds := make([]chan Time, n)
-	dones := make(chan windowResult)
-	for i := 0; i < n; i++ {
-		cmds[i] = make(chan Time)
-		go func(i int) {
-			e := g.engines[i]
-			for end := range cmds[i] {
-				dones <- windowResult{shard: i, err: e.RunWindow(end)}
-			}
-		}(i)
+	window := g.engines[0].RunWindow
+	if len(g.engines) > 1 {
+		var stop func()
+		window, stop = g.startWorkers()
+		defer stop()
 	}
-	defer func() {
-		for _, c := range cmds {
-			close(c)
-		}
-	}()
 	for {
 		g.conduit.inject()
 		t0 := Time(-1)
@@ -198,7 +190,7 @@ func (g *Group) Run() error {
 		if t0 < 0 {
 			// No pending events on any shard and nothing in flight: the
 			// simulation is over. Live procs anywhere make it a deadlock,
-			// diagnosed exactly like the serial engine but merged.
+			// diagnosed exactly like a lone engine's but merged.
 			live := 0
 			for _, e := range g.engines {
 				live += e.live
@@ -215,6 +207,29 @@ func (g *Group) Run() error {
 		}
 		end := t0.Add(g.lookahead)
 		g.conduit.windowEnd = end
+		if err := window(end); err != nil {
+			return err
+		}
+	}
+}
+
+// startWorkers starts one persistent worker goroutine per shard and returns
+// the function that runs one window on all of them, plus the function that
+// stops them.
+func (g *Group) startWorkers() (window func(end Time) error, stop func()) {
+	n := len(g.engines)
+	cmds := make([]chan Time, n)
+	dones := make(chan windowResult)
+	for i := 0; i < n; i++ {
+		cmds[i] = make(chan Time)
+		go func(i int) {
+			e := g.engines[i]
+			for end := range cmds[i] {
+				dones <- windowResult{shard: i, err: e.RunWindow(end)}
+			}
+		}(i)
+	}
+	window = func(end Time) error {
 		for _, c := range cmds {
 			c <- end
 		}
@@ -226,8 +241,12 @@ func (g *Group) Run() error {
 				firstErr, firstShard = r.err, r.shard
 			}
 		}
-		if firstErr != nil {
-			return firstErr
+		return firstErr
+	}
+	stop = func() {
+		for _, c := range cmds {
+			close(c)
 		}
 	}
+	return window, stop
 }

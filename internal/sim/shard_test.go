@@ -77,7 +77,8 @@ func runShardWorkload(t *testing.T, seed uint64, shards int) [][]shardRec {
 			dst := (node + 1) % nodes
 			at := e.Now().Add(lookahead + Duration(r.next()%30))
 			next := tag*31 + 1
-			cd.Post(node, dst, at, func(de *Engine) { local(de, dst, next) })
+			de := engines[shardOf[dst]]
+			cd.Post(node, dst, at, func() { local(de, dst, next) })
 			return
 		}
 		delta := Duration(r.next()%50 + 1)
@@ -191,7 +192,7 @@ func TestConduitWindowBoundary(t *testing.T) {
 	cd := g.Conduit()
 	e0.After(1, func() {
 		// Window is [1, 51); posting at time 10 violates the boundary.
-		cd.Post(0, 1, Time(10), func(*Engine) {})
+		cd.Post(0, 1, Time(10), func() {})
 	})
 	err := g.Run()
 	if err == nil || !strings.Contains(err.Error(), "violates window boundary") {

@@ -70,8 +70,8 @@ type Config struct {
 	Backend core.BackendID
 	Mode    core.LaunchMode
 
-	// Shards selects the engine shard count (0 = the UNICONN_SHARDS
-	// environment default; see core.Config.Shards).
+	// Shards is the engine shard count hint (core.Config.Shards: 0 =
+	// UNICONN_SHARDS or one shard); it changes wall time only.
 	Shards int
 
 	// Trace, when non-nil, records the run's execution spans.

@@ -44,8 +44,8 @@ func Common(fs *flag.FlagSet) *CommonFlags {
 		Workers: fs.Int("workers", 0,
 			"sweep worker count; 0 = UNICONN_WORKERS env or GOMAXPROCS"),
 		Shards: fs.Int("shards", 0,
-			"engine shards per cell (parallel-in-virtual-time); 0 = UNICONN_SHARDS env or serial engine; "+
-				"results are bit-identical at every shard count >= 1"),
+			"engine shards per cell (parallel-in-virtual-time); 0 = UNICONN_SHARDS env or one shard; "+
+				"results are bit-identical at every shard count"),
 		Live: fs.String("live", "",
 			"serve live telemetry HTTP on this address (host:port, :0 picks a port): "+
 				"/metrics /healthz /debug/runs /debug/flight; stdout stays byte-identical"),
@@ -64,7 +64,7 @@ func (c *CommonFlags) Model() (*machine.Model, error) {
 // ApplyEnv publishes positive -workers/-shards values into the environment
 // variables the runner and engine consult, the resolution rule every CLI
 // shares: an explicit flag wins, otherwise the environment, otherwise the
-// built-in default (GOMAXPROCS workers, serial engine).
+// built-in default (GOMAXPROCS workers, one engine shard).
 func (c *CommonFlags) ApplyEnv() {
 	ApplyWorkersEnv(*c.Workers)
 	if *c.Shards > 0 {

@@ -94,13 +94,11 @@ type Spec struct {
 	// Topology is the inter-node network spec, in the CLI -topology syntax:
 	// flat | fattree[:k] | dragonfly[:p,a,h]. Default flat.
 	Topology string `json:"topology,omitempty"`
-	// Shards is the engine shard count: 0 selects the classic serial
-	// engine, any positive count the windowed (parallel-in-virtual-time)
-	// protocol. Windowed results are bit-identical at every count >= 1, so
-	// only the serial/windowed bit participates in the hash; the count
-	// itself is an execution hint (see Hash). Unlike core.Config.Shards,
-	// 0 here never consults the UNICONN_SHARDS environment — a spec's
-	// result must not depend on the evaluating process's env.
+	// Shards is an execution hint: the engine shard count to evaluate
+	// with (core.Config.Shards, so 0 defers to UNICONN_SHARDS or one
+	// shard). Results are bit-identical at every count, so Normalize drops
+	// it and it takes no part in the hash or in the echoed spec of a
+	// result.
 	Shards int `json:"shards,omitempty"`
 	// Seed is the fault-plan seed (FaultGenerate).
 	Seed uint64 `json:"seed,omitempty"`
@@ -113,8 +111,10 @@ type Spec struct {
 // Normalize fills the canonical defaults into the string-valued fields so
 // that semantically identical specs hash identically: {"machine":""} and
 // {"machine":"Perlmutter"} address the same cell. Numeric zero values stay
-// zero — they mean "workload default" and are canonical as-is.
+// zero — they mean "workload default" and are canonical as-is. The Shards
+// hint is cleared: it selects how a cell runs, never what it computes.
 func (s Spec) Normalize() Spec {
+	s.Shards = 0
 	if s.Machine == "" {
 		s.Machine = "Perlmutter"
 	}
@@ -231,15 +231,13 @@ func (s Spec) Validate() error {
 // hashVersion tags the canonical encoding. Bump it whenever a field is
 // added or the encoding changes, so old cached results are never served for
 // a spec the new code would run differently.
-const hashVersion = "uniconn-spec/v1"
+const hashVersion = "uniconn-spec/v2"
 
 // hashPayload is the canonical pre-image of the content hash: every field,
 // normalized, in fixed order, with exact encodings (hex floats, decimal
-// ints). The shard count itself is deliberately reduced to the windowed
-// bit — sharded execution is bit-identical at every shard count >= 1
-// (DESIGN.md §12), so specs that differ only in positive Shards address
-// the same result; the serial engine (Shards 0) is a different protocol
-// with different virtual times and hashes separately.
+// ints). The Shards hint is not part of it: execution is bit-identical at
+// every shard count (DESIGN.md §12), so specs that differ only in Shards
+// address the same result.
 func (s Spec) hashPayload() string {
 	n := s.Normalize()
 	var b strings.Builder
@@ -264,7 +262,6 @@ func (s Spec) hashPayload() string {
 	field("window", strconv.Itoa(n.Window))
 	field("alg", n.Alg)
 	field("topology", n.Topology)
-	field("windowed", strconv.FormatBool(n.Shards > 0))
 	field("seed", strconv.FormatUint(n.Seed, 10))
 	field("fault_mode", n.FaultMode)
 	// Hex float formatting is exact: every distinct float64 has a distinct
@@ -274,8 +271,8 @@ func (s Spec) hashPayload() string {
 }
 
 // Hash returns the spec's content address: the hex SHA-256 of the canonical
-// encoding. Equal-by-meaning specs (Normalize-equal, any positive Shards)
-// share a hash; distinct specs never collide (injectivity of hashPayload
+// encoding. Equal-by-meaning specs (Normalize-equal, any Shards) share a
+// hash; distinct specs never collide (injectivity of hashPayload
 // plus SHA-256).
 func (s Spec) Hash() string {
 	sum := sha256.Sum256([]byte(s.hashPayload()))

@@ -54,7 +54,6 @@ func TestHashInjectivityGrid(t *testing.T) {
 		{Workload: WorkloadNetLatency, Bytes: 4096, API: "Device"},
 		{Workload: WorkloadNetLatency, Bytes: 4096, Iters: 10},
 		{Workload: WorkloadNetLatency, Bytes: 4096, Warmup: 3},
-		{Workload: WorkloadNetLatency, Bytes: 4096, Shards: 2},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 0.5},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultDegrade, Severity: 0.25},
 		{Workload: WorkloadNetLatency, Bytes: 4096, FaultMode: FaultGenerate, Severity: 0.5},
@@ -71,15 +70,17 @@ func TestHashInjectivityGrid(t *testing.T) {
 }
 
 // TestHashEquivalences pins the deliberate hash-equivalence classes:
-// Normalize-equal spellings share an address, and so do windowed runs at
-// different positive shard counts (bit-identical results, DESIGN.md §12).
-// The serial engine is a different protocol and must NOT share.
+// Normalize-equal spellings share an address, and so do specs differing
+// only in the Shards execution hint (bit-identical results at every shard
+// count, DESIGN.md §12).
 func TestHashEquivalences(t *testing.T) {
 	base := Spec{Workload: WorkloadNetLatency, Bytes: 4096}
 	same := []Spec{
 		{Workload: WorkloadNetLatency, Bytes: 4096, Machine: "Perlmutter"},
 		{Workload: WorkloadNetLatency, Bytes: 4096, Backend: "MPI", API: "Host"},
 		{Workload: WorkloadNetLatency, Bytes: 4096, Alg: "auto", Topology: "flat"},
+		{Workload: WorkloadNetLatency, Bytes: 4096, Shards: 1},
+		{Workload: WorkloadNetLatency, Bytes: 4096, Shards: 4},
 	}
 	for _, s := range same {
 		if s.Hash() != base.Hash() {
@@ -89,17 +90,8 @@ func TestHashEquivalences(t *testing.T) {
 	if h := (Spec{Workload: WorkloadNetLatency, Bytes: 4096, Topology: "fat-tree:4"}).Hash(); h != (Spec{Workload: WorkloadNetLatency, Bytes: 4096, Topology: "fattree:4"}).Hash() {
 		t.Error("fat-tree:4 and fattree:4 should share a hash")
 	}
-
-	w1 := Spec{Workload: WorkloadAllreduce, Ranks: 64, Bytes: 4096, Shards: 1}
-	w4 := w1
-	w4.Shards = 4
-	if w1.Hash() != w4.Hash() {
-		t.Error("windowed runs at shards 1 and 4 are bit-identical and must share a hash")
-	}
-	serial := w1
-	serial.Shards = 0
-	if serial.Hash() == w1.Hash() {
-		t.Error("the serial engine (shards 0) has different virtual times than the windowed protocol and must hash separately")
+	if n := (Spec{Workload: WorkloadAllreduce, Ranks: 64, Bytes: 4096, Shards: 4}).Normalize(); n.Shards != 0 {
+		t.Errorf("Normalize kept the shard hint: %+v", n)
 	}
 }
 
@@ -113,13 +105,13 @@ func TestHashGolden(t *testing.T) {
 		want string
 	}{
 		{Spec{Workload: WorkloadNetLatency, Bytes: 4096},
-			"f46786a8ff02001f39907e7b177a510d9277ae82d5ee9ed9496123df33397b68"},
+			"6e13189d52769214765948fbb7033dccf690cf140cf54ff16e9ac433152111f0"},
 		{Spec{Workload: WorkloadNetBandwidth, Bytes: 1 << 20, Inter: true, Backend: "GPUCCL"},
-			"97ac85df0419ac2f25dc07931a2debadc49ce7ef3e86fd000941b8ccd7df6f5f"},
+			"2f58c0f38e04fb5ad7579bd32c5950f604c5e0097238701fba56e45bfb35bea4"},
 		{Spec{Workload: WorkloadAllreduce, Ranks: 64, Bytes: 1 << 20, Topology: "fattree:8", Shards: 2},
-			"c33fc07efee231717f962df5814bd4458ca6ecb22f202445c07dab81a0b417f7"},
+			"806ae0ccc528c5173d332ba24621b13ca4e142a25d55c578f3f76e5f7da0f93d"},
 		{Spec{Workload: WorkloadNetLatency, Bytes: 8192, FaultMode: FaultGenerate, Severity: 0.75, Seed: 42},
-			"8fcf72d4921e91e7dbed9db6d31a5b131d1561a94cf9f7c257e4b0af0a4a9e86"},
+			"21788775802d68f01831bceeb98054861aba969a1563d11835d1a00437e70c24"},
 	}
 	for _, c := range cases {
 		if got := c.spec.Hash(); got != c.want {
